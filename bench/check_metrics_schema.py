@@ -19,7 +19,8 @@ import sys
 
 EXPECTED_COUNTERS = [
     "frames_simulated", "frames_skipped", "cone_passes", "full_passes",
-    "cone_gates_scheduled", "cone_gates_dropped", "tdf_activations",
+    "cone_gates_scheduled", "cone_gates_dropped", "cone_bound_rejects",
+    "cone_trace_rejects", "tdf_activations",
     "tdf_frames_skipped", "ppsfp_batches", "ppsfp_tests_packed",
     "wide_fp_passes", "trace_cache_hits",
     "trace_cache_misses", "trace_cache_extensions",
@@ -28,6 +29,8 @@ EXPECTED_COUNTERS = [
     "faults_detected", "iterate_rounds",
     "atpg_sat_solve_calls", "atpg_sat_conflicts", "atpg_sat_proofs",
     "atpg_sat_fallbacks",
+    "atpg_podem_calls", "atpg_podem_backtracks", "atpg_podem_aborts",
+    "atpg_podem_gate_evals",
     "check_cases_run",
     "check_queries_compared", "check_divergences", "check_shrink_steps",
     "check_case_timeouts",

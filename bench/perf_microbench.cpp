@@ -3,10 +3,7 @@
 // track performance regressions of the simulator/ATPG kernels.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "atpg/comb_tset.hpp"
@@ -136,63 +133,16 @@ BENCHMARK(BM_DetectionTimesRecording);
 // Full vs cone kernel across circuit sizes (the BENCH_kernel.json
 // artifact; see bench/check_kernel_baseline.py).
 //
-// The circuit is a row of independent 500-gate blocks sharing only the
-// primary-input bus — the locality profile of a large scan design,
-// where a fault group's union cone is a small slice of the chip.  (The
-// plain random generator wires globally: any 63-fault union cone
-// closes over ~85% of the gates there, and the cone kernel rightly
-// degenerates to the full one; see the Auto threshold in
-// fault/fault_sim.hpp.)  Identical work per pass, only the kernel
-// differs; the cone advantage grows with the block count.
-netlist::Circuit tiled_circuit(std::size_t tiles) {
-  constexpr std::size_t kInputs = 16;
-  netlist::CircuitBuilder b("tiled");
-  std::vector<std::string> pis;
-  for (std::size_t i = 0; i < kInputs; ++i) {
-    pis.push_back("pi" + std::to_string(i));
-    b.add_input(pis.back());
-  }
-  for (std::size_t k = 0; k < tiles; ++k) {
-    gen::GenParams p;
-    p.name = "tile";
-    p.seed = 1000 + k;
-    p.num_inputs = kInputs;
-    p.num_outputs = 4;
-    p.num_flip_flops = 24;
-    p.num_gates = 500;
-    const netlist::Circuit sub = gen::generate_circuit(p);
-    const std::string prefix = "t" + std::to_string(k) + "_";
-    const auto local = [&](netlist::NodeId id) -> std::string {
-      const netlist::Node& n = sub.node(id);
-      if (n.type == netlist::GateType::Input) {
-        const std::span<const netlist::NodeId> sp = sub.primary_inputs();
-        const std::size_t j = static_cast<std::size_t>(
-            std::find(sp.begin(), sp.end(), id) - sp.begin());
-        return pis[j];
-      }
-      return prefix + n.name;
-    };
-    for (netlist::NodeId id = 0; id < sub.num_nodes(); ++id) {
-      const netlist::Node& n = sub.node(id);
-      if (n.type == netlist::GateType::Input) continue;
-      std::vector<std::string> fanins;
-      std::vector<std::string_view> views;
-      for (const netlist::NodeId f : n.fanins) fanins.push_back(local(f));
-      for (const std::string& s : fanins) views.push_back(s);
-      b.add_gate(n.type, prefix + n.name, views);
-    }
-    for (const netlist::NodeId po : sub.primary_outputs()) {
-      b.mark_output(prefix + sub.node(po).name);
-    }
-  }
-  return b.build();
-}
-
+// The circuit is gen::tiled_circuit: a row of independent 500-gate
+// blocks sharing only the primary-input bus — the locality profile of a
+// large scan design, where a fault group's union cone is a small slice
+// of the chip.  Identical work per pass, only the kernel differs; the
+// cone advantage grows with the block count.
 void run_kernel_bench(benchmark::State& state, fault::KernelMode mode,
                       const fault::FaultModel& model =
                           fault::FaultModel::stuck_at(),
                       sim::LaneWidth lanes = sim::LaneWidth::W64) {
-  const netlist::Circuit c = tiled_circuit(
+  const netlist::Circuit c = gen::tiled_circuit(
       static_cast<std::size_t>(state.range(0)));
   const fault::FaultList fl = fault::FaultList::build(c, model);
   fault::FaultSimulator fsim(c, fl);
@@ -295,7 +245,7 @@ struct PpsfpMaterial {
 
 PpsfpMaterial ppsfp_material(std::size_t tiles) {
   constexpr std::size_t kTests = 16;
-  PpsfpMaterial m{tiled_circuit(tiles), {}, {}, {}, {}};
+  PpsfpMaterial m{gen::tiled_circuit(tiles), {}, {}, {}, {}};
   m.faults = fault::FaultList::build(m.circuit);
   util::Rng rng(29);
   for (std::size_t i = 0; i < kTests; ++i) {

@@ -126,6 +126,20 @@ void greedy_cover_compact(FaultSimulator& fsim,
   reverse_compact(fsim, tests, num_classes, n_detect);
 }
 
+/// The run's private simulator, configured from the options.
+FaultSimulator make_simulator(const Circuit& circuit, const FaultList& faults,
+                              const CombTestSetOptions& options) {
+  const util::Bitset& mask = options.podem.scan_mask;
+  FaultSimulator fsim(circuit, faults,
+                      mask.empty()
+                          ? util::Bitset(circuit.num_flip_flops(), true)
+                          : mask);
+  fsim.set_num_threads(options.num_threads);
+  fsim.set_kernel(options.kernel);
+  fsim.set_cancel(options.cancel);
+  return fsim;
+}
+
 void compact(FaultSimulator& fsim, std::vector<CombTest>& tests,
              std::size_t num_classes, const CombTestSetOptions& options) {
   switch (options.compaction) {
@@ -159,10 +173,7 @@ CombTestSet generate_comb_test_set(const Circuit& circuit,
                                    const FaultList& faults,
                                    const CombTestSetOptions& options) {
   const util::Bitset& mask = options.podem.scan_mask;
-  FaultSimulator fsim(circuit, faults,
-                      mask.empty()
-                          ? util::Bitset(circuit.num_flip_flops(), true)
-                          : mask);
+  FaultSimulator fsim = make_simulator(circuit, faults, options);
   Podem podem(circuit, options.podem);
   Dalg dalg(circuit, options.dalg);
   // The SAT backend is built lazily: under Auto it only exists once the
@@ -256,10 +267,7 @@ CombTestSet generate_random_comb_test_set(const Circuit& circuit,
                                           const FaultList& faults,
                                           const CombTestSetOptions& options) {
   const util::Bitset& mask = options.podem.scan_mask;
-  FaultSimulator fsim(circuit, faults,
-                      mask.empty()
-                          ? util::Bitset(circuit.num_flip_flops(), true)
-                          : mask);
+  FaultSimulator fsim = make_simulator(circuit, faults, options);
   util::Rng rng(options.seed ^ 0x9a4d03c5ULL);
 
   CombTestSet out;

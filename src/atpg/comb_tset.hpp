@@ -95,11 +95,17 @@ struct CombTestSetOptions {
   /// `detected` set is exact.  Cuts PODEM calls substantially on wide
   /// circuits.
   bool checkpoints_only = false;
-  /// Cooperative cancellation, polled between per-fault targets.  A
-  /// cancelled run returns the tests generated so far — callers that
-  /// observe the raised token must discard the truncated set (the
-  /// experiment runner does; see its phase checks).
+  /// Cooperative cancellation, polled between per-fault targets and by
+  /// every fault-simulation query of the run.  A cancelled run returns
+  /// the tests generated so far — callers that observe the raised token
+  /// must discard the truncated set (the experiment runner does; see its
+  /// phase checks).
   util::CancelToken cancel;
+  /// Settings of the run's private fault simulator (coverage, fault
+  /// dropping, compaction): the run-level --threads and --kernel.
+  /// Results are bit-identical for every value.
+  std::size_t num_threads = 1;
+  fault::KernelMode kernel = fault::KernelMode::Auto;
 };
 
 /// Deterministic ATPG test set: one PODEM call per still-undetected

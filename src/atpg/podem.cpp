@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/packed.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc::atpg {
 
@@ -40,10 +41,19 @@ Podem::Podem(const Circuit& circuit, PodemOptions options)
       cc0_(circuit.num_nodes(), 1),
       cc1_(circuit.num_nodes(), 1),
       x_reach_(circuit.num_nodes(), 0),
-      dirty_(circuit.num_nodes(), 0),
+      queued_(circuit.num_nodes(), 0),
+      in_cone_(circuit.num_nodes(), 0),
+      topo_pos_(circuit.num_nodes(), 0),
       assignable_(circuit.num_nodes(), 0),
-      observable_ff_(circuit.num_flip_flops(), 1) {
+      observation_(circuit.num_nodes(), 0),
+      ff_index_(circuit.num_nodes(), 0),
+      observable_ff_(circuit.num_flip_flops(), 1),
+      buckets_(circuit.depth() + 1) {
   const auto ffs = circuit.flip_flops();
+  const auto order = circuit.topo_order();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    topo_pos_[order[i]] = static_cast<std::uint32_t>(i);
+  }
   inputs_.reserve(circuit.num_inputs() + ffs.size());
   for (const NodeId id : circuit.primary_inputs()) {
     inputs_.push_back(id);
@@ -53,11 +63,14 @@ Podem::Podem(const Circuit& circuit, PodemOptions options)
     const bool scanned =
         options_.scan_mask.empty() || options_.scan_mask.test(i);
     observable_ff_[i] = scanned ? 1 : 0;
+    ff_index_[ffs[i]] = static_cast<std::uint32_t>(i);
     if (scanned) {
       inputs_.push_back(ffs[i]);
       assignable_[ffs[i]] = 1;
+      observation_[circuit.node(ffs[i]).fanins[0]] = 1;
     }
   }
+  for (const NodeId po : circuit.primary_outputs()) observation_[po] = 1;
   // Steer backtrace away from unscanned flip-flops: they can never be
   // justified.
   for (std::size_t i = 0; i < ffs.size(); ++i) {
@@ -232,47 +245,107 @@ void Podem::imply(const Fault& fault) {
     good_[id] = g;
     bad_[id] = b;
   }
+  gate_evals_ += circuit_->topo_order().size();
 }
 
 void Podem::propagate(NodeId changed_input, const Fault& fault) {
-  // Event-driven re-implication: recompute only the fanout cone of the
-  // changed input.  One cheap dirty-fanin check per gate in topological
-  // order; evaluation happens only inside the cone.
+  // Event-driven re-implication: a level-bucketed queue seeded with the
+  // changed input's fanouts.  Gates are evaluated in ascending level, so
+  // every fanin is final when a gate is evaluated, and only a gate whose
+  // value changed schedules its own fanouts.  The fixpoint equals a full
+  // re-simulation: a gate that is never queued has no changed fanin.
   ++epoch_;
   good_[changed_input] = assign_[changed_input];
   bad_[changed_input] = assign_[changed_input];
   if (fault.pin == sim::kStemPin && fault.node == changed_input) {
     bad_[changed_input] = fault.value ? V3::One : V3::Zero;
   }
-  dirty_[changed_input] = epoch_;
 
-  for (const NodeId id : circuit_->topo_order()) {
-    const Node& n = circuit_->node(id);
-    bool touched = false;
-    for (const NodeId f : n.fanins) {
-      if (dirty_[f] == epoch_) {
-        touched = true;
-        break;
+  std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t hi = 0;
+  const auto schedule_fanouts = [&](NodeId id) {
+    for (const NodeId out : circuit_->node(id).fanouts) {
+      const Node& n = circuit_->node(out);
+      if (!netlist::is_combinational(n.type) || queued_[out] == epoch_) {
+        continue;
+      }
+      queued_[out] = epoch_;
+      buckets_[n.level].push_back(out);
+      lo = std::min(lo, n.level);
+      hi = std::max(hi, n.level);
+    }
+  };
+  schedule_fanouts(changed_input);
+  for (std::uint32_t level = lo; level <= hi; ++level) {
+    // Scheduling only ever targets deeper levels, so this bucket is
+    // complete and `hi` may still grow while it is drained.
+    std::vector<NodeId>& bucket = buckets_[level];
+    for (const NodeId id : bucket) {
+      const auto [g, b] = eval_node(circuit_->node(id), id, fault);
+      if (g != good_[id] || b != bad_[id]) {
+        good_[id] = g;
+        bad_[id] = b;
+        schedule_fanouts(id);
       }
     }
-    if (!touched) continue;
-    const auto [g, b] = eval_node(n, id, fault);
-    if (g != good_[id] || b != bad_[id]) {
-      good_[id] = g;
-      bad_[id] = b;
-      dirty_[id] = epoch_;
-    }
+    gate_evals_ += bucket.size();
+    bucket.clear();
   }
 }
 
+void Podem::build_cone(const Fault& fault) {
+  // Fault effects (good != bad) can only appear on the fault site and its
+  // combinational fanout: every other node computes the same function of
+  // the same fanin values in both machines.  A flip-flop ends the cone —
+  // its Q is an assignment, its D line an observation point.
+  ++cone_epoch_;
+  cone_.clear();
+  cone_pos_.clear();
+  cone_ffs_.clear();
+  in_cone_[fault.node] = cone_epoch_;
+  cone_.push_back(fault.node);
+  for (std::size_t head = 0; head < cone_.size(); ++head) {
+    for (const NodeId out : circuit_->node(cone_[head]).fanouts) {
+      if (in_cone_[out] == cone_epoch_ ||
+          !netlist::is_combinational(circuit_->node(out).type)) {
+        continue;
+      }
+      in_cone_[out] = cone_epoch_;
+      cone_.push_back(out);
+    }
+  }
+  // Observation points the cone can reach: its primary outputs, and the
+  // observable flip-flops whose D line it drives (or whose D pin is the
+  // fault site itself).
+  for (const NodeId id : cone_) {
+    if (circuit_->is_primary_output(id)) cone_pos_.push_back(id);
+    for (const NodeId out : circuit_->node(id).fanouts) {
+      if (circuit_->node(out).type == GateType::Dff &&
+          observable_ff_[ff_index_[out]]) {
+        cone_ffs_.push_back(out);
+      }
+    }
+  }
+  if (circuit_->node(fault.node).type == GateType::Dff && fault.pin == 0 &&
+      observable_ff_[ff_index_[fault.node]]) {
+    cone_ffs_.push_back(fault.node);
+  }
+  // The scans below walk the cone's gates in topological order — the
+  // whole-circuit order restricted to the cone — so the D-frontier they
+  // collect is element-for-element the one a whole-circuit scan finds.
+  if (!netlist::is_combinational(circuit_->node(fault.node).type)) {
+    cone_.erase(cone_.begin());  // a source site is not a gate
+  }
+  std::sort(cone_.begin(), cone_.end(), [&](NodeId a, NodeId b) {
+    return topo_pos_[a] < topo_pos_[b];
+  });
+}
+
 bool Podem::fault_effect_observed(const Fault& fault) const {
-  for (const NodeId po : circuit_->primary_outputs()) {
+  for (const NodeId po : cone_pos_) {
     if (has_effect(good_[po], bad_[po])) return true;
   }
-  const auto ffs = circuit_->flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (!observable_ff_[i]) continue;
-    const NodeId ff = ffs[i];
+  for (const NodeId ff : cone_ffs_) {
     const NodeId d = circuit_->node(ff).fanins[0];
     V3 b = bad_[d];
     if (fault.node == ff && fault.pin == 0) {
@@ -283,44 +356,47 @@ bool Podem::fault_effect_observed(const Fault& fault) const {
   return false;
 }
 
+bool Podem::effect_on_input(NodeId id, const Fault& fault) const {
+  const Node& n = circuit_->node(id);
+  for (std::size_t p = 0; p < n.fanins.size(); ++p) {
+    V3 b = bad_[n.fanins[p]];
+    if (fault.node == id && fault.pin == static_cast<std::int32_t>(p)) {
+      b = fault.value ? V3::One : V3::Zero;
+    }
+    if (has_effect(good_[n.fanins[p]], b)) return true;
+  }
+  return false;
+}
+
 bool Podem::x_path_exists(const Fault& fault) {
   // x_reach_[id] = 1 when id is X-ish and some X-ish path leads from it to
-  // an observation point (PO or a flip-flop D line).
-  std::fill(x_reach_.begin(), x_reach_.end(), 0);
-  const auto mark_base = [&](NodeId id) {
-    if (x_ish(good_[id], bad_[id])) x_reach_[id] = 1;
+  // an observation point (PO or an observable flip-flop D line).  Only
+  // cone gates can carry a fault effect on an input, and every
+  // combinational fanout of a cone gate is itself in the cone, so a
+  // reverse-topological pass over the cone decides every value the check
+  // reads.  A flip-flop fanout is a source: it is reachable only by its
+  // own base mark (a flip-flop that is a PO or another D line).
+  const auto base = [&](NodeId id) {
+    return observation_[id] != 0 && x_ish(good_[id], bad_[id]);
   };
-  for (const NodeId po : circuit_->primary_outputs()) mark_base(po);
-  const auto ffs = circuit_->flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (observable_ff_[i]) mark_base(circuit_->node(ffs[i]).fanins[0]);
-  }
-  const auto order = circuit_->topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = cone_.rbegin(); it != cone_.rend(); ++it) {
     const NodeId id = *it;
-    if (x_reach_[id]) continue;
-    if (!x_ish(good_[id], bad_[id])) continue;
-    for (const NodeId out : circuit_->node(id).fanouts) {
-      if (x_reach_[out]) {
-        x_reach_[id] = 1;
-        break;
+    char reach = 0;
+    if (x_ish(good_[id], bad_[id])) {
+      reach = observation_[id];
+      for (const NodeId out : circuit_->node(id).fanouts) {
+        if (reach) break;
+        reach = netlist::is_combinational(circuit_->node(out).type)
+                    ? x_reach_[out]
+                    : static_cast<char>(base(out));
       }
     }
+    x_reach_[id] = reach;
   }
   // Some gate with a fault effect on an input must have an X-path onward.
-  for (const NodeId id : circuit_->topo_order()) {
-    const Node& n = circuit_->node(id);
-    if (!x_reach_[id]) continue;
-    for (std::size_t p = 0; p < n.fanins.size(); ++p) {
-      V3 b = bad_[n.fanins[p]];
-      if (fault.node == id && fault.pin == static_cast<std::int32_t>(p)) {
-        b = fault.value ? V3::One : V3::Zero;
-      }
-      if (has_effect(good_[n.fanins[p]], b)) return true;
-    }
+  for (const NodeId id : cone_) {
+    if (x_reach_[id] && effect_on_input(id, fault)) return true;
   }
-  // A still-X observation line fed directly by the fault site also counts
-  // (effect waiting to appear once the site value is set).
   return false;
 }
 
@@ -344,24 +420,16 @@ std::optional<std::pair<NodeId, bool>> Podem::objective(const Fault& fault) {
   // D-frontier: gates with a fault effect on an input and an X-ish
   // output.  Try the deepest first (closest to the outputs) and take the
   // first gate offering an unassigned (X) input to drive.
-  std::vector<NodeId> frontier;
-  for (const NodeId id : circuit_->topo_order()) {
-    const Node& n = circuit_->node(id);
-    if (!x_ish(good_[id], bad_[id])) continue;
-    bool effect_in = false;
-    for (std::size_t p = 0; p < n.fanins.size() && !effect_in; ++p) {
-      V3 b = bad_[n.fanins[p]];
-      if (fault.node == id && fault.pin == static_cast<std::int32_t>(p)) {
-        b = fault.value ? V3::One : V3::Zero;
-      }
-      effect_in = has_effect(good_[n.fanins[p]], b);
+  frontier_.clear();
+  for (const NodeId id : cone_) {
+    if (x_ish(good_[id], bad_[id]) && effect_on_input(id, fault)) {
+      frontier_.push_back(id);
     }
-    if (effect_in) frontier.push_back(id);
   }
-  std::sort(frontier.begin(), frontier.end(), [&](NodeId a, NodeId b) {
+  std::sort(frontier_.begin(), frontier_.end(), [&](NodeId a, NodeId b) {
     return circuit_->node(a).level > circuit_->node(b).level;
   });
-  for (const NodeId id : frontier) {
+  for (const NodeId id : frontier_) {
     const Node& n = circuit_->node(id);
     for (const NodeId f : n.fanins) {
       if (good_[f] != V3::X) continue;
@@ -460,6 +528,19 @@ std::optional<std::pair<NodeId, bool>> Podem::backtrace(NodeId node,
 }
 
 PodemResult Podem::generate(const Fault& fault) {
+  gate_evals_ = 0;
+  build_cone(fault);
+  PodemResult result = search(fault);
+  obs::add(obs::Counter::AtpgPodemCalls);
+  obs::add(obs::Counter::AtpgPodemBacktracks, result.backtracks);
+  obs::add(obs::Counter::AtpgPodemGateEvals, gate_evals_);
+  if (result.status == PodemStatus::Aborted) {
+    obs::add(obs::Counter::AtpgPodemAborts);
+  }
+  return result;
+}
+
+PodemResult Podem::search(const Fault& fault) {
   struct Decision {
     NodeId input;
     bool value;

@@ -15,6 +15,11 @@
 // with an X-path check, and backtrack on conflicts.  A backtrack limit
 // bounds the search; exhausting the search space without hitting the
 // limit proves the fault combinationally untestable.
+//
+// Per decision the work is proportional to what can change: implication
+// is event-driven from the decided input (a level-bucketed queue), and
+// the X-path check and D-frontier scan walk only the target fault's
+// combinational fanout cone, computed once per generate() call.
 #pragma once
 
 #include <cstdint>
@@ -64,11 +69,11 @@ class Podem {
   explicit Podem(const netlist::Circuit& circuit,
                  PodemOptions options = {});
 
-  /// Attempts to generate a test cube for `fault`.
+  /// Attempts to generate a test cube for `fault`.  Publishes the
+  /// atpg_podem_* telemetry counters (docs/observability.md).
   [[nodiscard]] PodemResult generate(const fault::Fault& fault);
 
  private:
-  struct Impl;
   // Scratch state lives in the class to avoid per-call allocation.
   const netlist::Circuit* circuit_;
   PodemOptions options_;
@@ -80,15 +85,33 @@ class Podem {
   std::vector<netlist::NodeId> inputs_;  // PIs then scanned FF Q nodes
   std::vector<std::uint32_t> cc0_;    // SCOAP-like controllability to 0
   std::vector<std::uint32_t> cc1_;    // SCOAP-like controllability to 1
-  std::vector<char> x_reach_;         // X-path reachability scratch
-  std::vector<std::uint32_t> dirty_;  // epoch marks for event-driven imply
+  std::vector<char> x_reach_;         // X-path reachability (cone gates)
+  std::vector<std::uint32_t> queued_;   // epoch marks: scheduled by imply
+  std::vector<std::uint32_t> in_cone_;  // cone_epoch_ marks: in the cone
+  std::vector<std::uint32_t> topo_pos_;  // per gate: index in topo_order()
   std::vector<char> assignable_;      // per node: PI or scanned FF
+  std::vector<char> observation_;     // per node: PO or observed D line
+  std::vector<std::uint32_t> ff_index_;  // per FF node: flip_flops() index
   std::vector<char> observable_ff_;   // per FF index: D line observed
+  std::vector<std::vector<netlist::NodeId>> buckets_;  // per level queue
   std::uint32_t epoch_ = 0;
+  std::uint32_t cone_epoch_ = 0;
+
+  // The target fault's combinational fanout cone (gates, topological
+  // order) and the observation points it reaches; set by build_cone().
+  std::vector<netlist::NodeId> cone_;
+  std::vector<netlist::NodeId> cone_pos_;  // primary outputs in the cone
+  std::vector<netlist::NodeId> cone_ffs_;  // observable FFs it feeds
+  std::vector<netlist::NodeId> frontier_;  // D-frontier scratch
+  std::uint64_t gate_evals_ = 0;           // per generate() call
 
   void compute_controllability();
+  void build_cone(const fault::Fault& fault);
+  [[nodiscard]] PodemResult search(const fault::Fault& fault);
   void imply(const fault::Fault& fault);
   void propagate(netlist::NodeId changed_input, const fault::Fault& fault);
+  [[nodiscard]] bool effect_on_input(netlist::NodeId id,
+                                     const fault::Fault& fault) const;
   [[nodiscard]] std::pair<sim::V3, sim::V3> eval_node(
       const netlist::Node& n, netlist::NodeId id,
       const fault::Fault& fault) const;

@@ -502,6 +502,8 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
   atpg::CombTestSetOptions copt;
   copt.seed = options.seed;
   copt.cancel = options.cancel;
+  copt.num_threads = options.num_threads;
+  copt.kernel = options.kernel;
   copt.backend = options.atpg;
   // Non-empty only under --atpg=sat/auto: all faults minus the classes
   // proven untestable, handed to every pipeline run so Phase 3 stops

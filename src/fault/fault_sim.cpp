@@ -25,6 +25,32 @@ struct QueryScope {
   obs::ScopedTimer timer{obs::Counter::kCount, obs::Histogram::QueryNanos};
 };
 
+/// The Auto cost model, in quarter gate evaluations per frame: a full
+/// pass costs the circuit's gates (4 * gates); a cone pass its scheduled
+/// gates plus a quarter of the circuit (boundary seeding and plan
+/// construction).  Returns what one cone pass saves over a full pass
+/// (negative when it loses).
+[[nodiscard]] constexpr std::int64_t cone_saving(
+    std::size_t cone_gates, std::size_t circuit_gates) noexcept {
+  return 3 * static_cast<std::int64_t>(circuit_gates) -
+         4 * static_cast<std::int64_t>(cone_gates);
+}
+
+/// The per-group Auto rule: the cone pays when its compacted schedule
+/// drops at least a quarter of the full evaluation work.
+[[nodiscard]] constexpr bool cone_pays(std::size_t cone_gates,
+                                       std::size_t circuit_gates) noexcept {
+  return cone_saving(cone_gates, circuit_gates) >= 0;
+}
+
+/// The cost of the fault-free trace that cone passes read, in the same
+/// quarter units per circuit gate: one and a half circuits.  Its scalar
+/// node-by-node evaluation, which stores every value, ran 1.3-1.5x the
+/// time of one 64-slot full pass over the same test (s641, 566 frames:
+/// 2.26 vs 1.55 ms; 16-block tiled circuit, 32 frames: 8.0 vs 6.1 ms;
+/// one core of a 4-vCPU x86-64 VM).
+constexpr std::int64_t kTraceCost = 6;
+
 }  // namespace
 
 using netlist::Circuit;
@@ -111,11 +137,6 @@ void FaultSimulator::reduce_masks(std::span<const FaultClassId> list,
 
 std::shared_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
     const sim::Vector3* scan_in, const sim::Sequence& seq) {
-  // Frame-gated models need the fault-free trace in every mode: it is
-  // the activation oracle, not just the cone kernel's seed.
-  if (kernel_ == KernelMode::Full && !faults_->model().frame_gated()) {
-    return nullptr;
-  }
   if (scan_in == nullptr || scan_mask_.all()) {
     return trace_cache_.get(scan_in, seq);
   }
@@ -126,6 +147,85 @@ std::shared_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
     if (!scan_mask_.test(i)) masked[i] = sim::V3::X;
   }
   return trace_cache_.get(&masked, seq);
+}
+
+void FaultSimulator::compute_cone_bounds() {
+  // Sequential fanout closure of each representative's node — the
+  // ConePlan seed for stem and branch sites alike — counted in gates.
+  // One BFS per distinct node; seen[] stamps each BFS with seed + 1.
+  const netlist::CsrSchedule& csr = circuit_->csr();
+  constexpr std::uint32_t kUnknown = ~0u;
+  std::vector<std::uint32_t> node_gates(circuit_->num_nodes(), kUnknown);
+  std::vector<std::uint32_t> seen(circuit_->num_nodes(), 0);
+  std::vector<netlist::NodeId> bfs;
+  class_cone_gates_.resize(num_classes());
+  for (FaultClassId id = 0; id < num_classes(); ++id) {
+    const netlist::NodeId seed = faults_->representative(id).node;
+    if (node_gates[seed] == kUnknown) {
+      std::uint32_t count = 0;
+      bfs.assign(1, seed);
+      seen[seed] = seed + 1;
+      for (std::size_t head = 0; head < bfs.size(); ++head) {
+        if (netlist::is_combinational(csr.types[bfs[head]])) ++count;
+        for (const netlist::NodeId v : csr.fanouts(bfs[head])) {
+          if (seen[v] != seed + 1) {
+            seen[v] = seed + 1;
+            bfs.push_back(v);
+          }
+        }
+      }
+      node_gates[seed] = count;
+    }
+    class_cone_gates_[id] = node_gates[seed];
+  }
+}
+
+FaultSimulator::QueryKernels FaultSimulator::plan_kernels(
+    std::span<const FaultClassId> list, const sim::Vector3* scan_in,
+    const sim::Sequence& seq) {
+  const std::size_t ng = num_groups(list.size());
+  const bool frame_gated = faults_->model().frame_gated();
+  QueryKernels qk;
+  qk.cone.assign(ng, kernel_ == KernelMode::Cone ? 1 : 0);
+  std::size_t cone_groups = kernel_ == KernelMode::Cone ? ng : 0;
+  if (kernel_ == KernelMode::Auto) {
+    const std::size_t gates = circuit_->num_gates();
+    std::int64_t saved = 0;  // cone_saving summed over the cone groups
+    if (class_cone_gates_.empty()) compute_cone_bounds();
+    for (std::size_t g = 0; g < ng; ++g) {
+      const std::span<const FaultClassId> group = list.subspan(
+          g * kGroupSize, std::min(kGroupSize, list.size() - g * kGroupSize));
+      std::uint32_t bound = 0;
+      for (const FaultClassId id : group) {
+        bound = std::max(bound, class_cone_gates_[id]);
+      }
+      if (!cone_pays(bound, gates)) {
+        obs::add(obs::Counter::ConeBoundRejects);
+        continue;
+      }
+      build_cone_sites(*faults_, group, sites_);
+      plan_.build(*circuit_, sites_);
+      const std::size_t eval = plan_.eval().size();
+      if (cone_pays(eval, gates)) {
+        qk.cone[g] = 1;
+        ++cone_groups;
+        saved += cone_saving(eval, gates);
+      }
+    }
+    // Without a frame-gated model the trace exists only for the cone
+    // groups.  Unless they save its cost between them, the query runs
+    // every group on the full kernel and builds no trace.
+    if (!frame_gated && cone_groups > 0 &&
+        saved < kTraceCost * static_cast<std::int64_t>(gates)) {
+      obs::add(obs::Counter::ConeTraceRejects, cone_groups);
+      cone_groups = 0;
+      std::fill(qk.cone.begin(), qk.cone.end(), 0);
+    }
+  }
+  if (cone_groups > 0 || frame_gated) {
+    qk.trace = acquire_trace(scan_in, seq);
+  }
+  return qk;
 }
 
 bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
@@ -168,8 +268,7 @@ FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(nullptr, seq, list, /*observe_scan_out=*/false,
                       /*keep_going=*/nullptr, det)) {
-    const auto trace = acquire_trace(nullptr, seq);
-    const KernelChoice kc = kernel_choice(trace.get());
+    const QueryKernels qk = plan_kernels(list, nullptr, seq);
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -178,7 +277,7 @@ FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
                                            /*observe_scan_out=*/false,
                                            /*early_exit=*/true,
                                            /*keep_going=*/nullptr, &cancel_,
-                                           kc);
+                                           qk.choice(g));
                    });
   }
   FaultSet detected(num_classes());
@@ -195,8 +294,7 @@ FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(&scan_in, seq, list, /*observe_scan_out=*/true,
                       /*keep_going=*/nullptr, det)) {
-    const auto trace = acquire_trace(&scan_in, seq);
-    const KernelChoice kc = kernel_choice(trace.get());
+    const QueryKernels qk = plan_kernels(list, &scan_in, seq);
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -205,7 +303,7 @@ FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
                                            /*observe_scan_out=*/true,
                                            /*early_exit=*/true,
                                            /*keep_going=*/nullptr, &cancel_,
-                                           kc);
+                                           qk.choice(g));
                    });
   }
   FaultSet detected(num_classes());
@@ -223,8 +321,7 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
   times.state_diff.assign(times.targets.size(), util::Bitset(seq.length()));
   const std::span<std::int64_t> first_po(times.first_po);
   const std::span<util::Bitset> state_diff(times.state_diff);
-  const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
+  const QueryKernels qk = plan_kernels(times.targets, &scan_in, seq);
   for_each_group(exec_, times.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
                      std::span<const FaultClassId> group) {
@@ -233,7 +330,7 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
                    w.run_times(scan_in, seq, group,
                                first_po.subspan(base, group.size()),
                                state_diff.subspan(base, group.size()),
-                               &cancel_, kc);
+                               &cancel_, qk.choice(g));
                  });
   return times;
 }
@@ -247,8 +344,7 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
   out.first_po.assign(out.targets.size(), -1);
   out.detected = util::Bitset(num_classes());
   const std::span<std::int64_t> first_po(out.first_po);
-  const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
+  const QueryKernels qk = plan_kernels(out.targets, &scan_in, seq);
   std::vector<std::uint64_t> det(num_groups(out.targets.size()), 0);
   for_each_group(exec_, out.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
@@ -258,7 +354,7 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
                    det[g] = w.run_prefix(scan_in, seq, group,
                                          first_po.subspan(base,
                                                           group.size()),
-                                         &cancel_, kc);
+                                         &cancel_, qk.choice(g));
                  });
   reduce_masks(out.targets, det, out.detected);
   return out;
@@ -309,10 +405,9 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
         });
     return all_ok.load(std::memory_order_relaxed);
   }
-  const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
+  const QueryKernels qk = plan_kernels(list, &scan_in, seq);
   for_each_group(exec_, list, policy(),
-                 [&](GroupWorker& w, std::size_t /*g*/,
+                 [&](GroupWorker& w, std::size_t g,
                      std::span<const FaultClassId> group) {
                    if (!all_ok.load(std::memory_order_relaxed)) return;
                    if (cancel_.stop_requested()) {
@@ -325,7 +420,7 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
                        w.run_detect(&scan_in, seq, group,
                                     /*observe_scan_out=*/true,
                                     /*early_exit=*/true, &all_ok, &cancel_,
-                                    kc);
+                                    qk.choice(g));
                    if (det != group_slot_mask(group.size())) {
                      all_ok.store(false, std::memory_order_relaxed);
                    }
@@ -342,8 +437,7 @@ FaultSet FaultSimulator::consistent_faults(
   assert(observed_scan_out.size() == circuit_->num_flip_flops());
   const QueryScope scope("consistent_faults");
   const std::vector<FaultClassId> list = collect(&targets);
-  const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
+  const QueryKernels qk = plan_kernels(list, &scan_in, seq);
   std::vector<std::uint64_t> mismatch(num_groups(list.size()), 0);
   for_each_group(exec_, list, policy(),
                  [&](GroupWorker& w, std::size_t g,
@@ -354,7 +448,7 @@ FaultSet FaultSimulator::consistent_faults(
                    mismatch[g] = w.run_consistency(scan_in, seq,
                                                    observed_pos,
                                                    observed_scan_out, group,
-                                                   &cancel_, kc);
+                                                   &cancel_, qk.choice(g));
                  });
   FaultSet consistent(num_classes());
   reduce_masks(list, mismatch, consistent, /*complement=*/true);

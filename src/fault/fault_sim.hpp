@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "fault/fault_list.hpp"
 #include "fault/group_exec.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/cone_kernel.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/simd.hpp"
 #include "sim/trace_cache.hpp"
@@ -58,7 +60,10 @@ using FaultSet = util::Bitset;
 /// bit-identical results:
 ///   Auto — per fault group, use the cone-restricted kernel when the
 ///          group's union fanout cone is small enough to pay off, else
-///          the full kernel (the default);
+///          the full kernel (the default).  The choice reads structure
+///          only and is made before any fault-free trace is built: a
+///          query builds one only when its cone groups together repay
+///          it (see plan_kernels);
 ///   Full — always evaluate the whole circuit (no fault-free trace is
 ///          computed under stuck-at; frame-gated models still build one
 ///          as their activation oracle);
@@ -377,10 +382,37 @@ class FaultSimulator {
                     std::span<const std::uint64_t> group_masks,
                     FaultSet& out, bool complement = false) const;
 
-  /// Fault-free trace for the kernel choice: nullptr in Full mode under
-  /// a frame-less model, else the cached (masked scan_in, seq) trace
-  /// shared across groups (frame-gated models always need it for the
-  /// activation predicate).
+  /// The kernels one query plan runs: a per-group cone/full decision and
+  /// the fault-free trace, acquired only when some group takes the cone
+  /// or the fault model is frame-gated (the trace is then the activation
+  /// oracle).  Acquired before the group fan-out — TraceCache is not
+  /// thread-safe.
+  struct QueryKernels {
+    std::vector<char> cone;  ///< per group: run the cone kernel
+    std::shared_ptr<const sim::NodeTrace> trace;
+
+    [[nodiscard]] KernelChoice choice(std::size_t g) const noexcept {
+      return KernelChoice{trace.get(), cone[g] != 0};
+    }
+  };
+
+  /// Decides every group of `list` (grouped as for_each_group does) from
+  /// structure alone, then acquires the trace if needed.  Full never
+  /// takes the cone and Cone always does.  Auto first rejects a group
+  /// whose largest single-fault cone already fails cone_pays() — the
+  /// union cone can only be larger — and builds a ConePlan only for the
+  /// groups that survive that bound.  Under a frame-less model the cone
+  /// groups must then repay the trace they need: unless they drop at
+  /// least one circuit's worth of gates between them, every group runs
+  /// the full kernel and no trace is built.
+  [[nodiscard]] QueryKernels plan_kernels(std::span<const FaultClassId> list,
+                                          const sim::Vector3* scan_in,
+                                          const sim::Sequence& seq);
+
+  /// Fills class_cone_gates_ (the Auto bound of plan_kernels).
+  void compute_cone_bounds();
+
+  /// The cached fault-free trace of the (masked scan_in, seq) test.
   [[nodiscard]] std::shared_ptr<const sim::NodeTrace> acquire_trace(
       const sim::Vector3* scan_in, const sim::Sequence& seq);
 
@@ -409,13 +441,6 @@ class FaultSimulator {
                       const std::atomic<bool>* keep_going,
                       std::span<std::uint64_t> det);
 
-  /// The per-group kernel choice handed to every worker pass.
-  [[nodiscard]] KernelChoice kernel_choice(
-      const sim::NodeTrace* trace) const noexcept {
-    return KernelChoice{trace, kernel_ == KernelMode::Cone,
-                        kernel_ != KernelMode::Full};
-  }
-
   const netlist::Circuit* circuit_;
   const FaultList* faults_;
   util::Bitset scan_mask_;
@@ -426,6 +451,11 @@ class FaultSimulator {
   GroupExecutor exec_;
   sim::TraceCache trace_cache_;
   std::vector<std::uint32_t> pack_rank_;  ///< per class: cone-locality rank
+  /// Per class: gates in its representative's sequential fanout cone —
+  /// the Auto bound.  Filled on the first Auto decision.
+  std::vector<std::uint32_t> class_cone_gates_;
+  sim::ConePlan plan_;                  ///< plan_kernels scratch
+  std::vector<sim::ConeSite> sites_;    ///< plan_kernels scratch
 };
 
 }  // namespace scanc::fault

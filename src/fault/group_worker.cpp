@@ -48,6 +48,17 @@ void build_group_injections(const FaultList& faults,
   }
 }
 
+void build_cone_sites(const FaultList& faults,
+                      std::span<const FaultClassId> group,
+                      std::vector<sim::ConeSite>& out) {
+  out.clear();
+  out.reserve(group.size());
+  for (const FaultClassId id : group) {
+    const Fault& f = faults.representative(id);
+    out.push_back(sim::ConeSite{f.node, f.pin, f.value});
+  }
+}
+
 GroupWorker::GroupWorker(const netlist::Circuit& circuit,
                          const FaultList& faults, util::Bitset scan_mask)
     : circuit_(&circuit),
@@ -91,34 +102,21 @@ void GroupWorker::start_test(const Vector3* scan_in,
 
 bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
                                 const KernelChoice& kernel) {
-  bool use_cone = false;
-  if (kernel.trace != nullptr && kernel.allow_cone) {
-    sites_.clear();
-    sites_.reserve(group.size());
-    for (const FaultClassId id : group) {
-      const Fault& f = faults_->representative(id);
-      sites_.push_back(sim::ConeSite{f.node, f.pin, f.value});
-    }
-    plan_.build(*circuit_, sites_);
-    // Auto: the cone pays only when the compacted schedule drops at
-    // least a quarter of the full evaluation work (boundary seeding and
-    // plan construction eat the rest of the margin).
-    use_cone = kernel.force_cone ||
-               plan_.eval().size() * 4 <= circuit_->num_gates() * 3;
-  }
-  // cone_selected runs exactly once per group pass, so the kernel-choice
-  // counters live here rather than in every query method.
-  if (use_cone) {
-    const std::uint64_t eval = plan_.eval().size();
-    const std::uint64_t gates = circuit_->num_gates();
-    obs::add(obs::Counter::ConePasses);
-    obs::add(obs::Counter::ConeGatesScheduled, eval);
-    obs::add(obs::Counter::ConeGatesDropped,
-             gates >= eval ? gates - eval : 0);
-  } else {
+  // cone_selected runs exactly once per group pass, so the pass counters
+  // live here rather than in every query method.
+  if (!kernel.cone) {
     obs::add(obs::Counter::FullPasses);
+    return false;
   }
-  return use_cone;
+  assert(kernel.trace != nullptr);
+  build_cone_sites(*faults_, group, sites_);
+  plan_.build(*circuit_, sites_);
+  const std::uint64_t eval = plan_.eval().size();
+  const std::uint64_t gates = circuit_->num_gates();
+  obs::add(obs::Counter::ConePasses);
+  obs::add(obs::Counter::ConeGatesScheduled, eval);
+  obs::add(obs::Counter::ConeGatesDropped, gates >= eval ? gates - eval : 0);
+  return true;
 }
 
 std::uint64_t GroupWorker::po_detections() const {

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "fault/batch_engine.hpp"
 #include "fault/fault_list.hpp"
@@ -47,19 +48,22 @@ void build_group_injections(const FaultList& faults,
                             std::span<const FaultClassId> group,
                             sim::InjectionMap& out);
 
-/// Kernel selection for one pass, resolved by the FaultSimulator.
-/// With `trace == nullptr` the worker always runs the full kernel.
-/// Otherwise it may run the cone-restricted kernel (sim/cone_kernel.hpp)
-/// seeded from the shared fault-free trace — always when `force_cone`,
-/// else only when the group's union cone is small enough to pay off —
-/// unless `allow_cone` is cleared (KernelMode::Full under a frame-gated
-/// fault model, where the trace is required for activation gating but
-/// the cone kernel must stay off).  Either choice produces bit-identical
-/// results.
+/// Fills `out` with `group`'s injection sites (cone-plan seeds), in
+/// group order.
+void build_cone_sites(const FaultList& faults,
+                      std::span<const FaultClassId> group,
+                      std::vector<sim::ConeSite>& out);
+
+/// Kernel selection for one pass, decided per group by the
+/// FaultSimulator from structure alone (FaultSimulator::plan_kernels).
+/// With `cone` set the worker runs the cone-restricted kernel
+/// (sim/cone_kernel.hpp) seeded from the shared fault-free `trace`, which
+/// must then be non-null; otherwise it runs the full kernel.  A
+/// frame-gated fault model needs `trace` on every pass as its activation
+/// oracle.  Either choice produces bit-identical results.
 struct KernelChoice {
   const sim::NodeTrace* trace = nullptr;
-  bool force_cone = false;
-  bool allow_cone = true;
+  bool cone = false;
 };
 
 class GroupWorker {
@@ -156,8 +160,8 @@ class GroupWorker {
   void start_test(const sim::Vector3* scan_in,
                   std::span<const FaultClassId> group);
 
-  /// Decides full vs cone kernel for `group` under `kernel`; when the
-  /// cone is taken, plan_ holds the group's cone on return.
+  /// Applies the kernel decision for `group`: when the cone is taken,
+  /// plan_ holds the group's cone on return.  Counts the pass.
   [[nodiscard]] bool cone_selected(std::span<const FaultClassId> group,
                                    const KernelChoice& kernel);
 

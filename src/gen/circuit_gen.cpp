@@ -1,7 +1,10 @@
 #include "gen/circuit_gen.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -265,6 +268,50 @@ class Generator {
 
 netlist::Circuit generate_circuit(const GenParams& params) {
   return Generator(params).run();
+}
+
+netlist::Circuit tiled_circuit(std::size_t tiles) {
+  constexpr std::size_t kInputs = 16;
+  netlist::CircuitBuilder b("tiled");
+  std::vector<std::string> pis;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    pis.push_back("pi" + std::to_string(i));
+    b.add_input(pis.back());
+  }
+  for (std::size_t k = 0; k < tiles; ++k) {
+    GenParams p;
+    p.name = "tile";
+    p.seed = 1000 + k;
+    p.num_inputs = kInputs;
+    p.num_outputs = 4;
+    p.num_flip_flops = 24;
+    p.num_gates = 500;
+    const netlist::Circuit sub = generate_circuit(p);
+    const std::string prefix = "t" + std::to_string(k) + "_";
+    const auto local = [&](netlist::NodeId id) -> std::string {
+      const netlist::Node& n = sub.node(id);
+      if (n.type == netlist::GateType::Input) {
+        const std::span<const netlist::NodeId> sp = sub.primary_inputs();
+        const std::size_t j = static_cast<std::size_t>(
+            std::find(sp.begin(), sp.end(), id) - sp.begin());
+        return pis[j];
+      }
+      return prefix + n.name;
+    };
+    for (netlist::NodeId id = 0; id < sub.num_nodes(); ++id) {
+      const netlist::Node& n = sub.node(id);
+      if (n.type == netlist::GateType::Input) continue;
+      std::vector<std::string> fanins;
+      std::vector<std::string_view> views;
+      for (const netlist::NodeId f : n.fanins) fanins.push_back(local(f));
+      for (const std::string& s : fanins) views.push_back(s);
+      b.add_gate(n.type, prefix + n.name, views);
+    }
+    for (const netlist::NodeId po : sub.primary_outputs()) {
+      b.mark_output(prefix + sub.node(po).name);
+    }
+  }
+  return b.build();
 }
 
 }  // namespace scanc::gen

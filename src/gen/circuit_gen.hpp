@@ -49,4 +49,12 @@ struct GenParams {
 /// parameters (no inputs or no outputs).
 [[nodiscard]] netlist::Circuit generate_circuit(const GenParams& params);
 
+/// A row of `tiles` independent 500-gate blocks (24 flip-flops, 4
+/// outputs each) sharing only a 16-input primary-input bus: the locality
+/// profile of a large scan design, where a fault group's union cone is a
+/// small slice of the chip.  (The plain generator wires globally: any
+/// 63-fault union cone closes over ~85% of its gates.)  The kernel
+/// microbenchmarks and the Auto kernel-choice tests run on it.
+[[nodiscard]] netlist::Circuit tiled_circuit(std::size_t tiles);
+
 }  // namespace scanc::gen

@@ -693,8 +693,9 @@ void Daemon::watchdog_loop() {
         continue;
       }
       if (job->progress_ns != nullptr &&
-          now - job->progress_ns->load(std::memory_order_relaxed) >
-              stall_ns) {
+          progress_stalled(
+              now, job->progress_ns->load(std::memory_order_relaxed),
+              stall_ns)) {
         job->run_cancel.request_stop();  // wedged: no phase progress
       }
     }

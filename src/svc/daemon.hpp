@@ -75,6 +75,17 @@ struct DaemonOptions {
   SharedRegistry::Limits registry;
 };
 
+/// The watchdog's wedge test: true when a job's last progress `stamp`
+/// is more than `stall_ns` older than `now` (both steady-clock ns).  The
+/// worker writes its stamp without the daemon lock, so a stamp may be
+/// later than a `now` the watchdog sampled just before; such a stamp is
+/// fresh, never a huge unsigned age.
+[[nodiscard]] constexpr bool progress_stalled(std::uint64_t now,
+                                              std::uint64_t stamp,
+                                              std::uint64_t stall_ns) noexcept {
+  return now > stamp && now - stamp > stall_ns;
+}
+
 class Daemon {
  public:
   explicit Daemon(DaemonOptions options);

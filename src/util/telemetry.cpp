@@ -152,6 +152,8 @@ const char* counter_name(Counter c) noexcept {
     case Counter::FullPasses: return "full_passes";
     case Counter::ConeGatesScheduled: return "cone_gates_scheduled";
     case Counter::ConeGatesDropped: return "cone_gates_dropped";
+    case Counter::ConeBoundRejects: return "cone_bound_rejects";
+    case Counter::ConeTraceRejects: return "cone_trace_rejects";
     case Counter::TdfActivations: return "tdf_activations";
     case Counter::TdfFramesSkipped: return "tdf_frames_skipped";
     case Counter::PpsfpBatches: return "ppsfp_batches";
@@ -199,6 +201,10 @@ const char* counter_name(Counter c) noexcept {
     case Counter::AtpgSatConflicts: return "atpg_sat_conflicts";
     case Counter::AtpgSatProofs: return "atpg_sat_proofs";
     case Counter::AtpgSatFallbacks: return "atpg_sat_fallbacks";
+    case Counter::AtpgPodemCalls: return "atpg_podem_calls";
+    case Counter::AtpgPodemBacktracks: return "atpg_podem_backtracks";
+    case Counter::AtpgPodemAborts: return "atpg_podem_aborts";
+    case Counter::AtpgPodemGateEvals: return "atpg_podem_gate_evals";
     case Counter::kCount: break;
   }
   return "?";

@@ -52,6 +52,11 @@ enum class Counter : std::uint16_t {
   FullPasses,           ///< group passes run on the full kernel
   ConeGatesScheduled,   ///< gates in compacted cone schedules
   ConeGatesDropped,     ///< gates cone passes did not schedule
+  ConeBoundRejects,     ///< Auto groups sent to the full kernel by the
+                        ///< per-class cone bound, with no plan built
+  ConeTraceRejects,     ///< Auto cone groups sent to the full kernel
+                        ///< because together they would not repay the
+                        ///< fault-free trace
   TdfActivations,       ///< transition-fault launch frames injected
   TdfFramesSkipped,     ///< frames skipped activation-aware (no launch)
   // Wide batch engine (fault/batch_engine.cpp).
@@ -108,6 +113,11 @@ enum class Counter : std::uint16_t {
   AtpgSatConflicts,     ///< CDCL conflicts across all solves
   AtpgSatProofs,        ///< untestability proofs (UNSAT verdicts)
   AtpgSatFallbacks,     ///< --atpg=auto faults retried on SAT after abort
+  // PODEM (atpg/podem.cpp).
+  AtpgPodemCalls,       ///< PODEM searches run (one per target fault)
+  AtpgPodemBacktracks,  ///< backtracks across all searches
+  AtpgPodemAborts,      ///< searches that hit the backtrack limit
+  AtpgPodemGateEvals,   ///< gates evaluated by PODEM implication
   kCount
 };
 

@@ -6,6 +6,7 @@
 #include "fault/fault_sim.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/embedded.hpp"
+#include "gen/suite.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/seq_sim.hpp"
 #include "util/rng.hpp"
@@ -168,6 +169,73 @@ TEST_P(PodemSoundness, CubesDetectAndUntestableConfirmed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PodemSoundness,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// Golden PODEM digests: every collapsed class of a suite circuit is run
+// through one Podem instance, and (class, status, backtracks, cube) is
+// folded into an FNV-1a hash.  The search is deterministic, so any
+// change to implication, the X-path check, the D-frontier order or
+// backtrace shows up here as a different digest.  The expected values
+// were captured from the reference (whole-circuit scan) implementation.
+std::uint64_t podem_digest(const Circuit& c, const PodemOptions& opt) {
+  const FaultList fl = FaultList::build(c);
+  Podem podem(c, opt);
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  for (FaultClassId id = 0; id < fl.num_classes(); ++id) {
+    const PodemResult r = podem.generate(fl.representative(id));
+    mix(id);
+    mix(static_cast<std::uint64_t>(r.status));
+    mix(r.backtracks);
+    for (const V3 v : r.cube.state) mix(static_cast<std::uint64_t>(v));
+    for (const V3 v : r.cube.inputs) mix(static_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+Circuit suite_circuit(const char* name) {
+  const auto entry = gen::find_suite_entry(name);
+  EXPECT_TRUE(entry.has_value()) << name;
+  return gen::build_suite_circuit(*entry);
+}
+
+TEST(PodemGolden, FullScanDigestsMatchReference) {
+  const std::pair<const char*, std::uint64_t> cases[] = {
+      {"s298", 5817450444772142164ULL},
+      {"s641", 4309429003933380887ULL},
+      {"s1423", 14106937164869134436ULL},
+  };
+  for (const auto& [name, expected] : cases) {
+    EXPECT_EQ(podem_digest(suite_circuit(name), {}), expected) << name;
+  }
+}
+
+TEST(PodemGolden, PartialScanDigestMatchesReference) {
+  // s641 under a fixed partial-scan mask: every third flip-flop and the
+  // flip-flop that is also a primary output stay off the chain.  That
+  // flip-flop's Q is then a permanently-X primary output, so the X-path
+  // check's base mark on a source node (and the path it opens from the
+  // flip-flop's D driver) is exercised.
+  const Circuit c = suite_circuit("s641");
+  const auto ffs = c.flip_flops();
+  util::Bitset mask(ffs.size(), true);
+  std::size_t unscanned_po_ffs = 0;
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    if (c.is_primary_output(ffs[i])) {
+      mask.reset(i);
+      ++unscanned_po_ffs;
+    } else if (i % 3 == 0) {
+      mask.reset(i);
+    }
+  }
+  ASSERT_GE(unscanned_po_ffs, 1u);
+  PodemOptions opt;
+  opt.scan_mask = mask;
+  opt.backtrack_limit = 200;  // most classes abort here; keep it quick
+  EXPECT_EQ(podem_digest(c, opt), 15410180156522563031ULL);
+}
 
 TEST(CombTestSet, CoversS27Completely) {
   const Circuit c = gen::make_s27();

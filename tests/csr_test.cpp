@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fault/fault_list.hpp"
+#include "fault/fault_sim.hpp"
 #include "fault/group_worker.hpp"
 #include "gen/circuit_gen.hpp"
 #include "netlist/circuit.hpp"
@@ -20,7 +21,9 @@
 #include "sim/node_trace.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/trace_cache.hpp"
+#include "tgen/random_seq.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc {
 namespace {
@@ -388,11 +391,39 @@ TEST(ConeKernel, WorkerDetectMasksMatchFullKernel) {
   }
   const std::uint64_t full_mask = full_w.run_detect(
       &scan_in, seq, group, /*observe_scan_out=*/true, /*early_exit=*/false);
-  const fault::KernelChoice kc{&trace, /*force_cone=*/true};
+  const fault::KernelChoice kc{&trace, /*cone=*/true};
   const std::uint64_t cone_mask = cone_w.run_detect(
       &scan_in, seq, group, /*observe_scan_out=*/true, /*early_exit=*/false,
       nullptr, nullptr, kc);
   EXPECT_EQ(full_mask, cone_mask);
+}
+
+// Auto decides cone vs full from structure before any fault-free trace
+// is built.  On BM_KernelCone's largest (16-block) tiled circuit a
+// group's union cone is a small slice of the chip, so Auto must still
+// take the cone — with one trace for the query and results equal to the
+// full kernel's.
+TEST(ConeKernel, AutoStillPicksConeOnTiledCircuit) {
+  const netlist::Circuit c = gen::tiled_circuit(16);
+  const fault::FaultList faults = fault::FaultList::build(c);
+  const Sequence seq = tgen::random_test_sequence(c, 32, 11);
+  util::Rng rng(3);
+  const Vector3 scan_in = sim::random_vector(c.num_flip_flops(), rng);
+
+  fault::FaultSimulator auto_sim(c, faults);
+  const obs::CounterSnapshot before = obs::snapshot_counters();
+  const fault::FaultSet got = auto_sim.detect_scan_test(scan_in, seq);
+  const obs::CounterSnapshot d =
+      obs::counter_delta(obs::snapshot_counters(), before);
+  const auto at = [&d](obs::Counter x) {
+    return d[static_cast<std::size_t>(x)];
+  };
+  EXPECT_GT(at(obs::Counter::ConePasses), 0u);
+  EXPECT_EQ(at(obs::Counter::TraceCacheMisses), 1u);
+
+  fault::FaultSimulator full_sim(c, faults);
+  full_sim.set_kernel(fault::KernelMode::Full);
+  EXPECT_EQ(got, full_sim.detect_scan_test(scan_in, seq));
 }
 
 }  // namespace

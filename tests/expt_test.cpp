@@ -7,6 +7,7 @@
 #include "expt/options.hpp"
 #include "expt/runner.hpp"
 #include "expt/tables.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc::expt {
 namespace {
@@ -228,6 +229,47 @@ TEST(Runner, AutoBackendLeavesNoAbortedFaults) {
     // universe.
     EXPECT_LE(run.atpg.det_final, run.detectable) << name;
   }
+}
+
+// Counter deltas of one stuck-at run_circuit on `name` under `kernel`.
+obs::CounterSnapshot run_counters(const char* name, fault::KernelMode kernel) {
+  const auto entry = gen::find_suite_entry(name);
+  EXPECT_TRUE(entry.has_value());
+  RunnerOptions opt;
+  opt.cache_path.clear();  // in-memory: no cache, no journal
+  opt.random_t0_length = 100;
+  opt.run_dynamic_baseline = false;
+  opt.kernel = kernel;
+  const obs::CounterSnapshot before = obs::snapshot_counters();
+  const CircuitRun run = run_circuit(*entry, opt);
+  EXPECT_TRUE(run.completed);
+  return obs::counter_delta(obs::snapshot_counters(), before);
+}
+
+std::uint64_t at(const obs::CounterSnapshot& s, obs::Counter c) {
+  return s[static_cast<std::size_t>(c)];
+}
+
+// --kernel reaches every simulator of a run, including the private ones
+// of ATPG (test set C) and greedy T0 generation: under Full no group pass
+// takes the cone and, with stuck-at faults, no fault-free trace is built.
+TEST(Runner, FullKernelReachesEverySimulator) {
+  const obs::CounterSnapshot d = run_counters("s298", fault::KernelMode::Full);
+  EXPECT_EQ(at(d, obs::Counter::ConePasses), 0u);
+  EXPECT_EQ(at(d, obs::Counter::TraceCacheMisses), 0u);
+  EXPECT_GT(at(d, obs::Counter::FullPasses) +
+                at(d, obs::Counter::WideFpPasses),
+            0u);
+}
+
+// Auto decides cone vs full from structure and builds a fault-free trace
+// only for a query where some group takes the cone, so a stuck-at run
+// never builds more traces than it runs cone passes.
+TEST(Runner, AutoBuildsTracesOnlyForConeQueries) {
+  const obs::CounterSnapshot d = run_counters("s641", fault::KernelMode::Auto);
+  EXPECT_LE(at(d, obs::Counter::TraceCacheMisses),
+            at(d, obs::Counter::ConePasses));
+  EXPECT_GT(at(d, obs::Counter::ConeBoundRejects), 0u);
 }
 
 }  // namespace

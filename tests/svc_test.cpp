@@ -477,6 +477,19 @@ std::string normalized_result(const Json& job) {
 
 }  // namespace
 
+TEST(SvcDaemon, WatchdogTreatsStampLaterThanNowAsFresh) {
+  // The watchdog samples `now` before it takes the lock, while a worker
+  // stores its progress stamp without it: the stamp can be the later of
+  // the two.  That ordering is a healthy job, not a wrapped-around age.
+  const std::uint64_t stall = 1'000'000'000;
+  const std::uint64_t now = 5'000'000'000;
+  EXPECT_FALSE(progress_stalled(now, now + 1, stall));
+  EXPECT_FALSE(progress_stalled(now, now + 10 * stall, stall));
+  EXPECT_FALSE(progress_stalled(now, now, stall));
+  EXPECT_FALSE(progress_stalled(now, now - stall, stall));
+  EXPECT_TRUE(progress_stalled(now, now - stall - 1, stall));
+}
+
 TEST(SvcDaemon, DrainAndRestartResumesBitIdentically) {
   // ~5s uninterrupted: slow enough that the drain lands mid-run, fast
   // enough for CI.
