@@ -1,6 +1,6 @@
 // load_gen — load generator / soak driver for the compaction service.
 //
-//   load_gen --socket=PATH [--jobs=N] [--clients=N] [--hostile-pct=P]
+//   load_gen --socket=PATH [--jobs=N] [--clients=N (1-256)] [--hostile-pct=P]
 //            [--deadline-pct=P] [--seed=N] [--json-out=PATH] [--quiet]
 //
 // Drives `scanc-serve` with a mixed workload: many small-to-medium
@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,9 +35,12 @@
 
 #include "svc/client.hpp"
 #include "svc/wire.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
+
+using scanc::util::parse_uint;
 
 using scanc::svc::Client;
 using scanc::svc::Json;
@@ -68,34 +72,27 @@ struct Totals {
   std::size_t lost = 0;  // accepted but never observed terminal
 };
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto value = [&](const char* prefix) -> const char* {
       return a.c_str() + std::strlen(prefix);
     };
-    std::uint64_t v = 0;
     if (a.rfind("--socket=", 0) == 0) {
       opt.socket_path = value("--socket=");
-    } else if (a.rfind("--jobs=", 0) == 0 && parse_u64(value("--jobs="), v)) {
-      opt.jobs = static_cast<std::size_t>(v);
-    } else if (a.rfind("--clients=", 0) == 0 &&
-               parse_u64(value("--clients="), v)) {
-      opt.clients = std::max<std::size_t>(1, v);
-    } else if (a.rfind("--hostile-pct=", 0) == 0 &&
-               parse_u64(value("--hostile-pct="), v)) {
-      opt.hostile_pct = std::min<std::size_t>(100, v);
-    } else if (a.rfind("--deadline-pct=", 0) == 0 &&
-               parse_u64(value("--deadline-pct="), v)) {
-      opt.deadline_pct = std::min<std::size_t>(100, v);
-    } else if (a.rfind("--seed=", 0) == 0 && parse_u64(value("--seed="), v)) {
-      opt.seed = v;
+    } else if (a.rfind("--jobs=", 0) == 0) {
+      opt.jobs = parse_uint("--jobs", value("--jobs="));
+    } else if (a.rfind("--clients=", 0) == 0) {
+      // One thread per client.
+      opt.clients = parse_uint("--clients", value("--clients="), 1, 256);
+    } else if (a.rfind("--hostile-pct=", 0) == 0) {
+      opt.hostile_pct =
+          parse_uint("--hostile-pct", value("--hostile-pct="), 0, 100);
+    } else if (a.rfind("--deadline-pct=", 0) == 0) {
+      opt.deadline_pct =
+          parse_uint("--deadline-pct", value("--deadline-pct="), 0, 100);
+    } else if (a.rfind("--seed=", 0) == 0) {
+      opt.seed = parse_uint("--seed", value("--seed="));
     } else if (a.rfind("--json-out=", 0) == 0) {
       opt.json_out = value("--json-out=");
     } else if (a == "--quiet") {
@@ -316,7 +313,12 @@ double percentile(std::vector<double> values, double p) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  try {
+    if (!parse_args(argc, argv, opt)) return 2;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "load_gen: " << e.what() << "\n";
+    return 2;
+  }
 
   Totals totals;
   const double started = now_s();

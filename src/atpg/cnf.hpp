@@ -10,7 +10,7 @@
 // rails.  A SAT model therefore *is* a binary assignment of the scan
 // view's free inputs, and an UNSAT proof means no such assignment
 // produces a conservative detection — the exact notion of combinational
-// untestability used by PODEM/D-alg, the fault-simulation kernels, and
+// untestability used by PODEM, the fault-simulation kernels, and
 // the scalar oracle.
 //
 // The good circuit is encoded once and shared across faults.  Each fault

@@ -175,9 +175,8 @@ CombTestSet generate_comb_test_set(const Circuit& circuit,
   const util::Bitset& mask = options.podem.scan_mask;
   FaultSimulator fsim = make_simulator(circuit, faults, options);
   Podem podem(circuit, options.podem);
-  Dalg dalg(circuit, options.dalg);
-  // The SAT backend is built lazily: under Auto it only exists once the
-  // structural engine aborts on some target, so the common all-easy run
+  // The SAT backend is built lazily: under Auto it only exists once
+  // PODEM aborts on some target, so the common all-easy run
   // never pays for the CNF encoding.
   std::unique_ptr<SatBackend> sat;
   const auto sat_backend = [&]() -> SatBackend& {
@@ -191,8 +190,7 @@ CombTestSet generate_comb_test_set(const Circuit& circuit,
   };
   const auto run_engine = [&](const fault::Fault& f) {
     if (options.backend == AtpgBackend::Sat) return sat_backend().generate(f);
-    PodemResult r = options.engine == AtpgEngine::Dalg ? dalg.generate(f)
-                                                       : podem.generate(f);
+    PodemResult r = podem.generate(f);
     if (options.backend == AtpgBackend::Auto &&
         r.status == PodemStatus::Aborted) {
       obs::add(obs::Counter::AtpgSatFallbacks);

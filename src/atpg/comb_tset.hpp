@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "atpg/dalg.hpp"
 #include "atpg/podem.hpp"
 #include "atpg/sat_backend.hpp"
 #include "fault/fault_sim.hpp"
@@ -62,17 +61,12 @@ enum class TestSetCompaction : std::uint8_t {
                  ///< a reverse-order polish (default; smallest sets)
 };
 
-/// Which ATPG engine generates the test cubes.
-enum class AtpgEngine : std::uint8_t { Podem, Dalg };
-
 /// Options for test-set generation.
 struct CombTestSetOptions {
   std::uint64_t seed = 1;           ///< random fill / pattern pool seed
-  AtpgEngine engine = AtpgEngine::Podem;
   PodemOptions podem;               ///< PODEM search bounds
-  DalgOptions dalg;                 ///< D-algorithm search bounds
-  /// Backend selection (docs/atpg.md): Podem runs `engine` alone; Sat
-  /// sends every target straight to the SAT backend; Auto runs `engine`
+  /// Backend selection (docs/atpg.md): Podem runs PODEM alone; Sat
+  /// sends every target straight to the SAT backend; Auto runs PODEM
   /// first and falls back to SAT only for targets it aborts on, so
   /// every fault ends the run Detected or proven Untestable (up to the
   /// SAT conflict limit).

@@ -1,6 +1,6 @@
 // SAT-based combinational ATPG: the backend that resolves every fault.
 //
-// Where PODEM/D-alg abort on their backtrack budgets and leave a fault's
+// Where PODEM aborts on its backtrack budget and leaves a fault's
 // testability unknown, the SAT backend either produces a test or an
 // UNSAT proof that none exists in the scan view (docs/atpg.md).  It is
 // the complete engine behind `--atpg=sat` and the abort-rescue engine
@@ -36,9 +36,9 @@ namespace scanc::atpg {
 
 /// Which engine generates tests (and how aborts are handled).
 enum class AtpgBackend : std::uint8_t {
-  Podem,  ///< structural engines only; aborts stay unresolved
+  Podem,  ///< PODEM only; aborts stay unresolved
   Sat,    ///< SAT only: every fault resolved (test or proof)
-  Auto,   ///< structural first, SAT retries each Aborted fault
+  Auto,   ///< PODEM first, SAT retries each Aborted fault
 };
 
 [[nodiscard]] const char* to_string(AtpgBackend b) noexcept;

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "check/differ.hpp"
@@ -30,10 +31,14 @@
 #include "check/workload.hpp"
 #include "fault/model.hpp"
 #include "sim/simd.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
+
+using scanc::util::parse_seconds;
+using scanc::util::parse_uint;
 
 struct Options {
   std::uint64_t seed = 1;
@@ -49,32 +54,25 @@ struct Options {
   std::string repro_out;
 };
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto value = [&](const char* prefix) -> const char* {
       return a.c_str() + std::strlen(prefix);
     };
-    std::uint64_t v = 0;
-    if (a.rfind("--seed=", 0) == 0 && parse_u64(value("--seed="), v)) {
-      opt.seed = v;
-    } else if (a.rfind("--iters=", 0) == 0 &&
-               parse_u64(value("--iters="), v)) {
-      opt.iters = v;
+    if (a.rfind("--seed=", 0) == 0) {
+      opt.seed = parse_uint("--seed", value("--seed="));
+    } else if (a.rfind("--iters=", 0) == 0) {
+      opt.iters = parse_uint("--iters", value("--iters="));
     } else if (a.rfind("--time-budget=", 0) == 0) {
-      opt.time_budget = std::strtod(value("--time-budget="), nullptr);
+      opt.time_budget = parse_seconds("--time-budget", value("--time-budget="),
+                                      /*allow_zero=*/true);
     } else if (a.rfind("--max-case-seconds=", 0) == 0) {
       opt.max_case_seconds =
-          std::strtod(value("--max-case-seconds="), nullptr);
-    } else if (a.rfind("--threads=", 0) == 0 &&
-               parse_u64(value("--threads="), v)) {
-      opt.threads = static_cast<std::size_t>(v);
+          parse_seconds("--max-case-seconds", value("--max-case-seconds="),
+                        /*allow_zero=*/true);
+    } else if (a.rfind("--threads=", 0) == 0) {
+      opt.threads = parse_uint("--threads", value("--threads="), 0, 256);
     } else if (a.rfind("--fault-model=", 0) == 0) {
       const std::string m = value("--fault-model=");
       if (m == "stuck") {
@@ -123,7 +121,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  try {
+    if (!parse_args(argc, argv, opt)) return 2;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "fuzz_check: " << e.what() << "\n";
+    return 2;
+  }
 
   scanc::check::CheckConfig cfg;
   cfg.threads = opt.threads;

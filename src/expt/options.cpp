@@ -1,18 +1,25 @@
 #include "expt/options.hpp"
 
-#include <cerrno>
 #include <cstdlib>
-#include <stdexcept>
-
 #include <iostream>
+#include <stdexcept>
 
 #include "gen/suite.hpp"
 #include "util/cancel.hpp"
 #include "util/event_bus.hpp"
+#include "util/parse.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::expt {
 namespace {
+
+using util::parse_seconds;
+using util::parse_uint;
+
+/// Upper bounds of --threads and --chains: far above any useful value,
+/// low enough that a typo cannot ask for millions of threads.
+constexpr std::uint64_t kMaxThreads = 256;
+constexpr std::uint64_t kMaxChains = 1024;
 
 bool env_flag(const char* name) {
   const char* v = std::getenv(name);
@@ -64,19 +71,6 @@ atpg::AtpgBackend parse_atpg(const std::string& flag, const char* value) {
                               " (expected podem|sat|auto)");
 }
 
-/// Parses a time budget in (fractional) seconds; throws on garbage so a
-/// typo does not silently run without a deadline.
-double parse_seconds(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  errno = 0;
-  const double s = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(s > 0.0)) {
-    throw std::invalid_argument("bad time budget for " + flag + ": " +
-                                value);
-  }
-  return s;
-}
-
 }  // namespace
 
 BenchConfig parse_bench_args(int argc, const char* const* argv) {
@@ -88,10 +82,10 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
   cfg.runner.force_fresh = env_flag("SCANC_FRESH");
   cfg.runner.verbose = env_flag("SCANC_VERBOSE");
   if (const char* v = std::getenv("SCANC_SEED")) {
-    cfg.runner.seed = std::strtoull(v, nullptr, 10);
+    cfg.runner.seed = parse_uint("SCANC_SEED", v);
   }
   if (const char* v = std::getenv("SCANC_THREADS")) {
-    cfg.runner.num_threads = std::strtoull(v, nullptr, 10);
+    cfg.runner.num_threads = parse_uint("SCANC_THREADS", v, 0, kMaxThreads);
   }
   if (const char* v = std::getenv("SCANC_KERNEL")) {
     cfg.runner.kernel = parse_kernel("SCANC_KERNEL", v);
@@ -103,7 +97,7 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
     cfg.runner.atpg = parse_atpg("SCANC_ATPG", v);
   }
   if (const char* v = std::getenv("SCANC_CHAINS")) {
-    cfg.runner.num_chains = std::strtoull(v, nullptr, 10);
+    cfg.runner.num_chains = parse_uint("SCANC_CHAINS", v, 0, kMaxChains);
   }
   if (const char* v = std::getenv("SCANC_CACHE")) {
     cfg.runner.cache_path = v;
@@ -131,9 +125,10 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
     } else if (arg == "--fresh") {
       cfg.runner.force_fresh = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      cfg.runner.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      cfg.runner.seed = parse_uint("--seed", arg.c_str() + 7);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      cfg.runner.num_threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
+      cfg.runner.num_threads =
+          parse_uint("--threads", arg.c_str() + 10, 0, kMaxThreads);
     } else if (arg.rfind("--kernel=", 0) == 0) {
       cfg.runner.kernel = parse_kernel("--kernel", arg.c_str() + 9);
     } else if (arg.rfind("--fault-model=", 0) == 0) {
@@ -143,7 +138,7 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
       cfg.runner.atpg = parse_atpg("--atpg", arg.c_str() + 7);
     } else if (arg.rfind("--chains=", 0) == 0) {
       cfg.runner.num_chains =
-          std::strtoull(arg.c_str() + 9, nullptr, 10);
+          parse_uint("--chains", arg.c_str() + 9, 0, kMaxChains);
     } else if (arg.rfind("--cache=", 0) == 0) {
       cfg.runner.cache_path = arg.substr(8);
     } else if (arg.rfind("--time-budget=", 0) == 0) {

@@ -7,7 +7,8 @@
 //   --seed=N           SCANC_SEED       experiment seed (default 1)
 //   --threads=N        SCANC_THREADS    fault-sim worker threads
 //                                       (default 1; 0 = all hardware
-//                                       threads; results are identical)
+//                                       threads; at most 256; results
+//                                       are identical)
 //   --kernel=M         SCANC_KERNEL     fault-sim kernel: auto (default,
 //                                       per-group cone/full selection),
 //                                       full, or cone; results are
@@ -27,7 +28,8 @@
 //                                       separately; docs/atpg.md)
 //   --chains=N         SCANC_CHAINS     balanced scan chains for the
 //                                       N_cyc cost model (default 1, the
-//                                       paper's single chain; cached
+//                                       paper's single chain; 0 also
+//                                       means one; at most 1024; cached
 //                                       separately when > 1)
 //   --cache=PATH       SCANC_CACHE      cache file prefix
 //   --no-dynamic                        skip the [2,3]-style baseline
@@ -52,6 +54,8 @@
 //   --heartbeat=S      SCANC_HEARTBEAT  print one progress line (phase,
 //                                       faults, frames/s) every S
 //                                       seconds on stderr
+// Numbers are strict (util/parse.hpp): a value that is not a plain
+// in-range decimal makes parse_bench_args throw std::invalid_argument.
 // Telemetry details: docs/observability.md.
 #pragma once
 

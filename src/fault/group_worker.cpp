@@ -16,7 +16,7 @@ using sim::Vector3;
 namespace {
 
 /// Batches per-frame kernel counters into locals and publishes once per
-/// group pass, keeping the frame loops free of telemetry calls.
+/// group pass, keeping the frame loop free of telemetry calls.
 struct FrameTally {
   std::uint64_t simulated = 0;
   std::uint64_t skipped = 0;
@@ -36,7 +36,280 @@ struct FrameTally {
   }
 };
 
+/// Slots whose value at one observation point differs from the
+/// fault-free slot 0 (none while slot 0 is X).
+std::uint64_t observed_diff(const PackedV3& w) {
+  const bool ref0 = (w.is0 & 1) != 0;
+  const bool ref1 = (w.is1 & 1) != 0;
+  if (ref0 == ref1) return 0;  // fault-free X: no detection here
+  return sim::differs_from_reference(w, ref1);
+}
+
+/// Mismatch bits for one observation point: predicted binary, observed
+/// binary, values differ.
+std::uint64_t mismatches(const PackedV3& w, sim::V3 observed) {
+  if (!sim::is_binary(observed)) return 0;
+  return sim::differs_from_reference(w, observed == sim::V3::One);
+}
+
+/// Mismatch bits for a slot-uniform observation point at fault-free
+/// value `v` (out of the cone, or in a frame no engine evaluated): a
+/// binary/binary difference mismatches every slot at once — exactly what
+/// differs_from_reference yields on a uniform word.
+std::uint64_t uniform_mismatch(sim::V3 v, sim::V3 observed) {
+  return (sim::is_binary(observed) && sim::is_binary(v) && v != observed)
+             ? ~0ULL
+             : 0;
+}
+
+/// Records time `t` as the first PO detection of every slot in `fresh`.
+void record_first_po(std::uint64_t fresh, std::size_t t,
+                     std::span<std::int64_t> first_po) {
+  while (fresh != 0) {
+    const int bit = std::countr_zero(fresh);
+    fresh &= fresh - 1;
+    first_po[static_cast<std::size_t>(bit) - 1] = static_cast<std::int64_t>(t);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Observers: what a pass records.  frame_loop calls, per frame t,
+//   abandoned()           before the frame: stop with a partial result;
+//   frame(engine, t)      after a simulated frame's evaluation;
+//   latches(last)         launch-gated only: does this simulated frame
+//                         latch (persistent passes latch every one);
+//   latched(engine, t)    after that latch;
+//   unsimulated(t)        after a frame no engine evaluated (every
+//                         machine follows the fault-free trace);
+//   done(t, len)          after the frame: exit early;
+// and once the frames run out, scan_out(engine, live), where `live` says
+// the engine holds the final state (else it is the fault-free one).
+
+/// run_detect: the detection mask.
+struct DetectObserver {
+  std::uint64_t full;
+  bool observe_scan_out;
+  bool early_exit;
+  const std::atomic<bool>* keep_going;
+  std::uint64_t det = 0;
+
+  [[nodiscard]] bool abandoned() const {
+    // Another group already decided detects_all's answer.
+    return keep_going != nullptr &&
+           !keep_going->load(std::memory_order_relaxed);
+  }
+  template <class E>
+  void frame(const E& e, std::size_t) {
+    det |= e.po_detections();
+  }
+  [[nodiscard]] bool latches(bool last) const {
+    return last && observe_scan_out;
+  }
+  template <class E>
+  void latched(const E&, std::size_t) {}
+  void unsimulated(std::size_t) {}
+  [[nodiscard]] bool done(std::size_t t, std::size_t len) const {
+    return early_exit && det == full && t + 1 < len;
+  }
+  template <class E>
+  void scan_out(const E& e, bool live) {
+    if (live && observe_scan_out) det |= e.state_detections();
+  }
+};
+
+/// run_times: first PO detection and every scan-out detection time.
+struct TimesObserver {
+  std::span<std::int64_t> first_po;
+  std::span<util::Bitset> state_diff;
+  std::uint64_t det = 0;
+
+  [[nodiscard]] bool abandoned() const { return false; }
+  template <class E>
+  void frame(const E& e, std::size_t t) {
+    const std::uint64_t fresh = e.po_detections() & ~det;
+    det |= fresh;
+    record_first_po(fresh, t, first_po);
+  }
+  // Scan-out after time unit t observes the state latched at its end,
+  // so every simulated frame latches, gated or not.
+  [[nodiscard]] bool latches(bool) const { return true; }
+  template <class E>
+  void latched(const E& e, std::size_t t) {
+    std::uint64_t bits = e.state_detections();
+    while (bits != 0) {
+      const int bit = std::countr_zero(bits);
+      bits &= bits - 1;
+      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
+    }
+  }
+  void unsimulated(std::size_t) {}
+  [[nodiscard]] bool done(std::size_t, std::size_t) const { return false; }
+  template <class E>
+  void scan_out(const E&, bool) {}
+};
+
+/// run_prefix: first PO detection times plus the whole test's mask.
+struct PrefixObserver {
+  std::uint64_t full;
+  std::span<std::int64_t> first_po;
+  std::uint64_t det = 0;
+
+  [[nodiscard]] bool abandoned() const { return false; }
+  template <class E>
+  void frame(const E& e, std::size_t t) {
+    const std::uint64_t fresh = e.po_detections() & ~det;
+    det |= fresh;
+    record_first_po(fresh, t, first_po);
+  }
+  [[nodiscard]] bool latches(bool last) const { return last; }
+  template <class E>
+  void latched(const E&, std::size_t) {}
+  void unsimulated(std::size_t) {}
+  // Everything PO-detected: the rest of the test cannot add anything.
+  [[nodiscard]] bool done(std::size_t, std::size_t) const {
+    return det == full;
+  }
+  template <class E>
+  void scan_out(const E& e, bool live) {
+    if (live) det |= e.state_detections();
+  }
+};
+
+/// run_consistency: slots whose predicted response mismatches the
+/// observation.  Out-of-cone points and unsimulated frames compare the
+/// fault-free trace value, uniformly for every slot.
+struct ConsistencyObserver {
+  const netlist::Circuit& circuit;
+  const util::Bitset& scan_mask;
+  const sim::NodeTrace* trace;
+  std::span<const Vector3> observed_pos;
+  const Vector3& observed_scan_out;
+  std::uint64_t full;
+  std::uint64_t mismatch = 0;
+
+  [[nodiscard]] bool abandoned() const { return false; }
+  template <class E>
+  void frame(const E& e, std::size_t t) {
+    const auto pos = circuit.primary_outputs();
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      mismatch |= e.observes(pos[i])
+                      ? mismatches(e.value(pos[i]), observed_pos[t][i])
+                      : uniform_mismatch(trace->value(t, pos[i]),
+                                         observed_pos[t][i]);
+    }
+  }
+  [[nodiscard]] bool latches(bool last) const { return last; }
+  template <class E>
+  void latched(const E&, std::size_t) {}
+  void unsimulated(std::size_t t) {
+    const auto pos = circuit.primary_outputs();
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      mismatch |= uniform_mismatch(trace->value(t, pos[i]), observed_pos[t][i]);
+    }
+  }
+  // Every group slot already mismatches.
+  [[nodiscard]] bool done(std::size_t, std::size_t) const {
+    return (mismatch & full) == full;
+  }
+  template <class E>
+  void scan_out(const E& e, bool live) {
+    Vector3 ff_free;  // fault-free scan-out, built on first use
+    for (std::size_t i = 0; i < circuit.num_flip_flops(); ++i) {
+      if (!scan_mask.test(i)) continue;
+      if (live && e.live_ff(i)) {
+        mismatch |= mismatches(e.captured(i), observed_scan_out[i]);
+        continue;
+      }
+      if (ff_free.empty()) ff_free = trace->state_at_start(observed_pos.size());
+      mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
+    }
+  }
+};
+
 }  // namespace
+
+// ---------------------------------------------------------------------
+// Engines: how a frame is evaluated and what the observers read.
+
+/// Full kernel: every gate, 64 slots wide.
+struct GroupWorker::FullEngine {
+  GroupWorker& w;
+  const sim::NodeTrace* trace;  ///< launch-gated passes only
+
+  void begin(const Vector3* scan_in) {
+    w.sim_.reset(&w.injections_);
+    if (scan_in != nullptr) {
+      w.sim_.load_state(w.masked_state(*scan_in), &w.injections_);
+    }
+  }
+  /// Launch gating: frame t starts from the fault-free state entering it.
+  void restart(std::size_t t) {
+    w.sim_.load_state(trace->state_at_start(t), &w.injections_);
+  }
+  bool eval(std::size_t, const Vector3& pi) {
+    w.sim_.apply_frame(pi, &w.injections_);
+    return true;
+  }
+  void latch() { w.sim_.latch(&w.injections_); }
+  [[nodiscard]] std::uint64_t po_detections() const {
+    return w.po_detections();
+  }
+  [[nodiscard]] std::uint64_t state_detections() const {
+    return w.state_detections();
+  }
+  [[nodiscard]] bool observes(NodeId) const { return true; }
+  [[nodiscard]] const PackedV3& value(NodeId id) const {
+    return w.sim_.value(id);
+  }
+  [[nodiscard]] bool live_ff(std::size_t) const { return true; }
+  [[nodiscard]] const PackedV3& captured(std::size_t i) const {
+    return w.sim_.captured(i);
+  }
+};
+
+/// Cone kernel: only the group's sequential fanout cone, seeded from the
+/// fault-free trace (sim/cone_kernel.hpp).  Out-of-cone observation
+/// points are slot-uniform and never detect, so its masks equal the full
+/// kernel's.
+struct GroupWorker::ConeEngine {
+  GroupWorker& w;
+  const sim::NodeTrace* trace;
+
+  void begin(const Vector3*) { w.cone_.begin(w.plan_, w.injections_, *trace); }
+  /// Launch gating: a latch (detection times latch every active frame)
+  /// dirtied the cone; re-arm the clean path so frame t re-seeds from
+  /// the fault-free trace.
+  void restart(std::size_t) {
+    if (!w.cone_.clean()) begin(nullptr);
+  }
+  bool eval(std::size_t t, const Vector3&) { return w.cone_.eval_frame(t); }
+  void latch() { w.cone_.latch(); }
+  [[nodiscard]] std::uint64_t po_detections() const {
+    std::uint64_t det = 0;
+    for (const NodeId po : w.plan_.cone_pos()) {
+      det |= observed_diff(w.cone_.value(po));
+    }
+    return det & ~1ULL;
+  }
+  [[nodiscard]] std::uint64_t state_detections() const {
+    if (w.cone_.clean()) return 0;  // every latch holds the fault-free value
+    std::uint64_t det = 0;
+    for (const std::uint32_t i : w.plan_.cone_ff_pos()) {
+      if (w.scan_mask_.test(i)) det |= observed_diff(w.cone_.captured(i));
+    }
+    return det & ~1ULL;
+  }
+  [[nodiscard]] bool observes(NodeId id) const { return w.plan_.in_cone(id); }
+  [[nodiscard]] const PackedV3& value(NodeId id) const {
+    return w.cone_.value(id);
+  }
+  [[nodiscard]] bool live_ff(std::size_t i) const {
+    return !w.cone_.clean() && w.plan_.in_cone(w.circuit_->flip_flops()[i]);
+  }
+  [[nodiscard]] const PackedV3& captured(std::size_t i) const {
+    return w.cone_.captured(i);
+  }
+};
 
 void build_group_injections(const FaultList& faults,
                             std::span<const FaultClassId> group,
@@ -91,13 +364,22 @@ void GroupWorker::build_injections(std::span<const FaultClassId> group) {
   build_group_injections(*faults_, group, injections_);
 }
 
-void GroupWorker::start_test(const Vector3* scan_in,
-                             std::span<const FaultClassId> group) {
-  build_injections(group);
-  sim_.reset(&injections_);
-  if (scan_in != nullptr) {
-    sim_.load_state(masked_state(*scan_in), &injections_);
+std::uint64_t GroupWorker::po_detections() const {
+  std::uint64_t det = 0;
+  for (const NodeId po : circuit_->primary_outputs()) {
+    det |= observed_diff(sim_.value(po));
   }
+  return det & ~1ULL;
+}
+
+std::uint64_t GroupWorker::state_detections() const {
+  std::uint64_t det = 0;
+  for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
+    if (!scan_mask_.test(i)) continue;  // not on the scan chain
+    // Scan-out observes the captured latch contents (PPO convention).
+    det |= observed_diff(sim_.captured(i));
+  }
+  return det & ~1ULL;
 }
 
 bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
@@ -118,416 +400,6 @@ bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
   obs::add(obs::Counter::ConeGatesDropped, gates >= eval ? gates - eval : 0);
   return true;
 }
-
-std::uint64_t GroupWorker::po_detections() const {
-  std::uint64_t det = 0;
-  for (const NodeId po : circuit_->primary_outputs()) {
-    const PackedV3 w = sim_.value(po);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;  // fault-free X: no detection here
-    det |= sim::differs_from_reference(w, ref1);
-  }
-  return det & ~1ULL;
-}
-
-std::uint64_t GroupWorker::state_detections() const {
-  std::uint64_t det = 0;
-  for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-    if (!scan_mask_.test(i)) continue;  // not on the scan chain
-    // Scan-out observes the captured latch contents (PPO convention).
-    const PackedV3 w = sim_.captured(i);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;
-    det |= sim::differs_from_reference(w, ref1);
-  }
-  return det & ~1ULL;
-}
-
-std::uint64_t GroupWorker::po_detections_cone() const {
-  std::uint64_t det = 0;
-  for (const NodeId po : plan_.cone_pos()) {
-    const PackedV3 w = cone_.value(po);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;
-    det |= sim::differs_from_reference(w, ref1);
-  }
-  return det & ~1ULL;
-}
-
-std::uint64_t GroupWorker::state_detections_cone() const {
-  if (cone_.clean()) return 0;  // every latch holds the fault-free value
-  std::uint64_t det = 0;
-  const auto pos = plan_.cone_ff_pos();
-  for (const std::uint32_t i : pos) {
-    if (!scan_mask_.test(i)) continue;
-    const PackedV3 w = cone_.captured(i);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;
-    det |= sim::differs_from_reference(w, ref1);
-  }
-  return det & ~1ULL;
-}
-
-std::uint64_t GroupWorker::run_detect(const Vector3* scan_in,
-                                      const Sequence& seq,
-                                      std::span<const FaultClassId> group,
-                                      bool observe_scan_out, bool early_exit,
-                                      const std::atomic<bool>* keep_going,
-                                      const util::CancelToken* cancel,
-                                      const KernelChoice& kernel) {
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      return run_detect_tdf_cone(*kernel.trace, seq, group, observe_scan_out,
-                                 early_exit, keep_going, cancel);
-    }
-    return run_detect_tdf(*kernel.trace, seq, group, observe_scan_out,
-                          early_exit, keep_going, cancel);
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    return run_detect_cone(*kernel.trace, seq, group, observe_scan_out,
-                           early_exit, keep_going, cancel);
-  }
-  start_test(scan_in, group);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;  // another group already decided the answer
-    }
-    if (cancel != nullptr && cancel->stop_requested()) {
-      return det;  // cooperative cancellation: partial mask
-    }
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    det |= po_detections();
-    sim_.latch(&injections_);
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  if (observe_scan_out) det |= state_detections();
-  return det;
-}
-
-std::uint64_t GroupWorker::run_detect_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, bool observe_scan_out,
-    bool early_exit, const std::atomic<bool>* keep_going,
-    const util::CancelToken* cancel) {
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;
-    }
-    if (cancel != nullptr && cancel->stop_requested()) {
-      return det;
-    }
-    if (cone_.eval_frame(t)) {
-      ++tally.simulated;
-      det |= po_detections_cone();
-      cone_.latch();
-    } else {
-      ++tally.skipped;
-    }
-    // Skipped frames change nothing: all slots stay fault-free.
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  if (observe_scan_out) det |= state_detections_cone();
-  return det;
-}
-
-void GroupWorker::run_times(const Vector3& scan_in, const Sequence& seq,
-                            std::span<const FaultClassId> group,
-                            std::span<std::int64_t> first_po,
-                            std::span<util::Bitset> state_diff,
-                            const util::CancelToken* cancel,
-                            const KernelChoice& kernel) {
-  assert(first_po.size() == group.size());
-  assert(state_diff.size() == group.size());
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      run_times_tdf_cone(*kernel.trace, seq, first_po, state_diff, cancel);
-    } else {
-      run_times_tdf(*kernel.trace, seq, first_po, state_diff, cancel);
-    }
-    return;
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    run_times_cone(*kernel.trace, seq, group, first_po, state_diff, cancel);
-    return;
-  }
-  start_test(&scan_in, group);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    sim_.latch(&injections_);
-    // Scan-out after time unit t would observe the just-latched state.
-    std::uint64_t bits = state_detections();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-  }
-}
-
-void GroupWorker::run_times_cone(const sim::NodeTrace& trace,
-                                 const Sequence& seq,
-                                 std::span<const FaultClassId> group,
-                                 std::span<std::int64_t> first_po,
-                                 std::span<util::Bitset> state_diff,
-                                 const util::CancelToken* cancel) {
-  (void)group;
-  cone_.begin(plan_, injections_, trace);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;  // no detections on a clean frame
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    cone_.latch();
-    std::uint64_t bits = state_detections_cone();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-  }
-}
-
-std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
-                                      const Sequence& seq,
-                                      std::span<const FaultClassId> group,
-                                      std::span<std::int64_t> first_po,
-                                      const util::CancelToken* cancel,
-                                      const KernelChoice& kernel) {
-  assert(first_po.size() == group.size());
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      return run_prefix_tdf_cone(*kernel.trace, seq, group, first_po, cancel);
-    }
-    return run_prefix_tdf(*kernel.trace, seq, group, first_po, cancel);
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    return run_prefix_cone(*kernel.trace, seq, group, first_po, cancel);
-  }
-  start_test(&scan_in, group);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;  // everything PO-detected: skip the rest
-    sim_.latch(&injections_);
-  }
-  return det | state_detections();  // final scan-out
-}
-
-std::uint64_t GroupWorker::run_prefix_cone(const sim::NodeTrace& trace,
-                                           const Sequence& seq,
-                                           std::span<const FaultClassId> group,
-                                           std::span<std::int64_t> first_po,
-                                           const util::CancelToken* cancel) {
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;  // det < full here: no change
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;
-    cone_.latch();
-  }
-  return det | state_detections_cone();  // final scan-out
-}
-
-std::uint64_t GroupWorker::run_consistency(
-    const Vector3& scan_in, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel, const KernelChoice& kernel) {
-  assert(observed_pos.size() == seq.length());
-  assert(observed_scan_out.size() == circuit_->num_flip_flops());
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      return run_consistency_tdf_cone(*kernel.trace, seq, observed_pos,
-                                      observed_scan_out, group, cancel);
-    }
-    return run_consistency_tdf(*kernel.trace, seq, observed_pos,
-                               observed_scan_out, group, cancel);
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    return run_consistency_cone(*kernel.trace, seq, observed_pos,
-                                observed_scan_out, group, cancel);
-  }
-  start_test(&scan_in, group);
-
-  // Mismatch bits for one observation point: predicted binary, observed
-  // binary, values differ.
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t mismatch = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    const auto pos = circuit_->primary_outputs();
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      mismatch |= mismatches(sim_.value(pos[i]), observed_pos[t][i]);
-    }
-    sim_.latch(&injections_);
-    if ((mismatch & full) == full) break;
-  }
-  for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-    if (!scan_mask_.test(i)) continue;
-    mismatch |= mismatches(sim_.captured(i), observed_scan_out[i]);
-  }
-  return mismatch;
-}
-
-std::uint64_t GroupWorker::run_consistency_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel) {
-  cone_.begin(plan_, injections_, trace);
-
-  // Out-of-cone (or clean) observation points are slot-uniform at the
-  // fault-free value, so a binary/binary difference against the
-  // observation mismatches *all* slots at once — exactly what the full
-  // kernel's differs_from_reference yields on a uniform word.
-  const auto uniform_mismatch = [](sim::V3 v, sim::V3 obs) -> std::uint64_t {
-    return (sim::is_binary(obs) && sim::is_binary(v) && v != obs) ? ~0ULL
-                                                                  : 0;
-  };
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  const auto pos = circuit_->primary_outputs();
-  std::uint64_t mismatch = 0;
-  bool broke = false;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    const bool simulated = cone_.eval_frame(t);
-    if (simulated) {
-      ++tally.simulated;
-    } else {
-      ++tally.skipped;
-    }
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      if (simulated && plan_.in_cone(pos[i])) {
-        mismatch |= mismatches(cone_.value(pos[i]), observed_pos[t][i]);
-      } else {
-        mismatch |=
-            uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-      }
-    }
-    if (simulated) cone_.latch();
-    if ((mismatch & full) == full) {
-      broke = true;
-      break;
-    }
-  }
-  if (broke) return mismatch;  // every group slot already mismatches
-  const Vector3 ff_free = trace.state_at_start(seq.length());
-  const auto ffs = circuit_->flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (!scan_mask_.test(i)) continue;
-    if (!cone_.clean() && plan_.in_cone(ffs[i])) {
-      mismatch |= mismatches(cone_.captured(i), observed_scan_out[i]);
-    } else {
-      mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
-    }
-  }
-  return mismatch;
-}
-
-// ---------------------------------------------------------------------
-// Frame-gated (transition-delay) passes.
-//
-// Semantics shared by all eight passes (and the check/ TDF oracle):
-// fault j is *active* in frame t >= 1 iff the fault-free value of its
-// stem was the stale value in frame t-1 and the opposite (binary) value
-// in frame t — the delayed transition is launched.  An active frame is
-// simulated one-frame from the fault-free state entering it with the
-// stem stuck at the stale value; POs are observed in that frame, and the
-// state captured at its end carries the effect to scan-out only when it
-// is the test's final frame.  Effects never persist: every frame starts
-// from the fault-free trace, which also makes prefix-coverage records
-// per-frame independent exactly as under stuck-at.
 
 void GroupWorker::build_tdf_sites(std::span<const FaultClassId> group) {
   tdf_sites_.clear();
@@ -565,388 +437,128 @@ void GroupWorker::build_tdf_injections(std::uint64_t act) {
   }
 }
 
-std::uint64_t GroupWorker::run_detect_tdf(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, bool observe_scan_out,
-    bool early_exit, const std::atomic<bool>* keep_going,
-    const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
+template <bool kGated, class Engine, class Observer>
+void GroupWorker::frame_loop(Engine& engine, Observer& observer,
+                             const Sequence& seq, const sim::NodeTrace* trace,
+                             const util::CancelToken* cancel) {
   FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;
+  const std::size_t len = seq.length();
+  bool live = !kGated;  // persistent passes end in the engine's state
+  for (std::size_t t = 0; t < len; ++t) {
+    if (observer.abandoned() ||
+        (cancel != nullptr && cancel->stop_requested())) {
+      return;  // cooperative cancellation: partial result
     }
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;  // no launch: every machine follows the fault-free trace
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    ++tally.simulated;
-    build_tdf_injections(act);
-    sim_.load_state(trace.state_at_start(t), &injections_);
-    sim_.apply_frame(seq.frames[t], &injections_);
-    det |= po_detections();
-    if (observe_scan_out && t + 1 == seq.length()) {
-      sim_.latch(&injections_);
-      det |= state_detections();
-    }
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  return det;
-}
-
-std::uint64_t GroupWorker::run_detect_tdf_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, bool observe_scan_out,
-    bool early_exit, const std::atomic<bool>* keep_going,
-    const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;
-    }
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    build_tdf_injections(act);
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;
-    }
-    ++tally.simulated;
-    det |= po_detections_cone();
-    if (observe_scan_out && t + 1 == seq.length()) {
-      cone_.latch();
-      det |= state_detections_cone();
-    }
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  return det;
-}
-
-void GroupWorker::run_times_tdf(const sim::NodeTrace& trace,
-                                const Sequence& seq,
-                                std::span<std::int64_t> first_po,
-                                std::span<util::Bitset> state_diff,
-                                const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;  // inactive frames latch the fault-free state: no records
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    ++tally.simulated;
-    build_tdf_injections(act);
-    sim_.load_state(trace.state_at_start(t), &injections_);
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    sim_.latch(&injections_);
-    // Scan-out after time unit t observes the state captured at the end
-    // of the (active) frame t; effects decay again from t+1 on.
-    std::uint64_t bits = state_detections();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-  }
-}
-
-void GroupWorker::run_times_tdf_cone(const sim::NodeTrace& trace,
-                                     const Sequence& seq,
-                                     std::span<std::int64_t> first_po,
-                                     std::span<util::Bitset> state_diff,
-                                     const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    build_tdf_injections(act);
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    cone_.latch();
-    std::uint64_t bits = state_detections_cone();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-    // The latch dirtied the cone state; re-arm the clean path so the
-    // next active frame re-seeds from the fault-free trace (per-frame
-    // effect independence).
-    if (!cone_.clean()) cone_.begin(plan_, injections_, trace);
-  }
-}
-
-std::uint64_t GroupWorker::run_prefix_tdf(const sim::NodeTrace& trace,
-                                          const Sequence& seq,
-                                          std::span<const FaultClassId> group,
-                                          std::span<std::int64_t> first_po,
-                                          const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    ++tally.simulated;
-    build_tdf_injections(act);
-    sim_.load_state(trace.state_at_start(t), &injections_);
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;  // everything PO-detected: skip the rest
-    if (t + 1 == seq.length()) {
-      sim_.latch(&injections_);
-      det |= state_detections();  // final scan-out (final frame active)
-    }
-  }
-  return det;
-}
-
-std::uint64_t GroupWorker::run_prefix_tdf_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, std::span<std::int64_t> first_po,
-    const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    build_tdf_injections(act);
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;
-    if (t + 1 == seq.length()) {
-      cone_.latch();
-      det |= state_detections_cone();
-    }
-  }
-  return det;
-}
-
-std::uint64_t GroupWorker::run_consistency_tdf(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-  // In an inactive frame every machine predicts the fault-free value, so
-  // a binary/binary difference against the observation mismatches all
-  // slots at once (the same word the full stuck-at kernel would yield on
-  // a slot-uniform value).
-  const auto uniform_mismatch = [](sim::V3 v, sim::V3 obs) -> std::uint64_t {
-    return (sim::is_binary(obs) && sim::is_binary(v) && v != obs) ? ~0ULL
-                                                                  : 0;
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  const auto pos = circuit_->primary_outputs();
-  std::uint64_t mismatch = 0;
-  bool final_active = false;
-  bool broke = false;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        mismatch |=
-            uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-      }
-    } else {
-      tally.tdf_activations +=
-          static_cast<std::uint64_t>(std::popcount(act));
-      ++tally.simulated;
-      build_tdf_injections(act);
-      sim_.load_state(trace.state_at_start(t), &injections_);
-      sim_.apply_frame(seq.frames[t], &injections_);
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        mismatch |= mismatches(sim_.value(pos[i]), observed_pos[t][i]);
-      }
-      if (t + 1 == seq.length()) {
-        final_active = true;
-        sim_.latch(&injections_);
-      }
-    }
-    if ((mismatch & full) == full) {
-      broke = true;
-      break;
-    }
-  }
-  if (broke) return mismatch;  // every group slot already mismatches
-  if (final_active) {
-    for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-      if (!scan_mask_.test(i)) continue;
-      mismatch |= mismatches(sim_.captured(i), observed_scan_out[i]);
-    }
-  } else {
-    // Final frame inactive (or empty test): scan-out observes the
-    // fault-free state on every machine.
-    const Vector3 ff_free = trace.state_at_start(seq.length());
-    for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-      if (!scan_mask_.test(i)) continue;
-      mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
-    }
-  }
-  return mismatch;
-}
-
-std::uint64_t GroupWorker::run_consistency_tdf_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-  const auto uniform_mismatch = [](sim::V3 v, sim::V3 obs) -> std::uint64_t {
-    return (sim::is_binary(obs) && sim::is_binary(v) && v != obs) ? ~0ULL
-                                                                  : 0;
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  const auto pos = circuit_->primary_outputs();
-  std::uint64_t mismatch = 0;
-  bool final_active = false;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        mismatch |=
-            uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-      }
-    } else {
-      tally.tdf_activations +=
-          static_cast<std::uint64_t>(std::popcount(act));
-      build_tdf_injections(act);
-      const bool simulated = cone_.eval_frame(t);
-      if (simulated) {
-        ++tally.simulated;
+    const bool last = t + 1 == len;
+    bool active = true;
+    if constexpr (kGated) {
+      const std::uint64_t act = t == 0 ? 0 : tdf_activation(*trace, t);
+      active = act != 0;
+      if (active) {
+        tally.tdf_activations += static_cast<std::uint64_t>(std::popcount(act));
+        build_tdf_injections(act);
+        engine.restart(t);
       } else {
-        ++tally.skipped;
-      }
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        if (simulated && plan_.in_cone(pos[i])) {
-          mismatch |= mismatches(cone_.value(pos[i]), observed_pos[t][i]);
-        } else {
-          mismatch |=
-              uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-        }
-      }
-      if (simulated && t + 1 == seq.length()) {
-        cone_.latch();
-        final_active = true;
+        ++tally.tdf_skipped;  // no launch: every machine follows the trace
       }
     }
-    if ((mismatch & full) == full) return mismatch;
-  }
-  const Vector3 ff_free = trace.state_at_start(seq.length());
-  const auto ffs = circuit_->flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (!scan_mask_.test(i)) continue;
-    if (final_active && !cone_.clean() && plan_.in_cone(ffs[i])) {
-      mismatch |= mismatches(cone_.captured(i), observed_scan_out[i]);
+    const bool simulated = active && engine.eval(t, seq.frames[t]);
+    if (active) ++(simulated ? tally.simulated : tally.skipped);
+    if (simulated) {
+      observer.frame(engine, t);
+      if (!kGated || observer.latches(last)) {
+        engine.latch();
+        observer.latched(engine, t);
+        live = !kGated || last;
+      }
     } else {
-      mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
+      observer.unsimulated(t);
     }
+    if (observer.done(t, len)) return;
   }
-  return mismatch;
+  observer.scan_out(engine, live);
+}
+
+template <class Observer>
+void GroupWorker::run_pass(const Vector3* scan_in, const Sequence& seq,
+                           std::span<const FaultClassId> group,
+                           const KernelChoice& kernel,
+                           const util::CancelToken* cancel,
+                           Observer& observer) {
+  assert(!group.empty());
+  const bool gated = faults_->model().frame_gated();
+  if (gated) {
+    assert(kernel.trace != nullptr);
+    build_tdf_sites(group);
+    injections_.clear();  // rebuilt for every active frame
+    scan_in = nullptr;    // every active frame loads the trace's state
+  } else {
+    build_injections(group);
+  }
+  const auto run = [&](auto engine) {
+    engine.begin(scan_in);
+    if (gated) {
+      frame_loop<true>(engine, observer, seq, kernel.trace, cancel);
+    } else {
+      frame_loop<false>(engine, observer, seq, kernel.trace, cancel);
+    }
+  };
+  if (cone_selected(group, kernel)) {
+    run(ConeEngine{*this, kernel.trace});
+  } else {
+    run(FullEngine{*this, kernel.trace});
+  }
+}
+
+std::uint64_t GroupWorker::run_detect(const Vector3* scan_in,
+                                      const Sequence& seq,
+                                      std::span<const FaultClassId> group,
+                                      bool observe_scan_out, bool early_exit,
+                                      const std::atomic<bool>* keep_going,
+                                      const util::CancelToken* cancel,
+                                      const KernelChoice& kernel) {
+  DetectObserver o{group_slot_mask(group.size()), observe_scan_out,
+                   early_exit, keep_going};
+  run_pass(scan_in, seq, group, kernel, cancel, o);
+  return o.det;
+}
+
+void GroupWorker::run_times(const Vector3& scan_in, const Sequence& seq,
+                            std::span<const FaultClassId> group,
+                            std::span<std::int64_t> first_po,
+                            std::span<util::Bitset> state_diff,
+                            const util::CancelToken* cancel,
+                            const KernelChoice& kernel) {
+  assert(first_po.size() == group.size());
+  assert(state_diff.size() == group.size());
+  TimesObserver o{first_po, state_diff};
+  run_pass(&scan_in, seq, group, kernel, cancel, o);
+}
+
+std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
+                                      const Sequence& seq,
+                                      std::span<const FaultClassId> group,
+                                      std::span<std::int64_t> first_po,
+                                      const util::CancelToken* cancel,
+                                      const KernelChoice& kernel) {
+  assert(first_po.size() == group.size());
+  PrefixObserver o{group_slot_mask(group.size()), first_po};
+  run_pass(&scan_in, seq, group, kernel, cancel, o);
+  return o.det;
+}
+
+std::uint64_t GroupWorker::run_consistency(
+    const Vector3& scan_in, const Sequence& seq,
+    std::span<const sim::Vector3> observed_pos,
+    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
+    const util::CancelToken* cancel, const KernelChoice& kernel) {
+  assert(observed_pos.size() == seq.length());
+  assert(observed_scan_out.size() == circuit_->num_flip_flops());
+  const std::uint64_t full = group_slot_mask(group.size());
+  ConsistencyObserver o{*circuit_, scan_mask_, kernel.trace,
+                        observed_pos, observed_scan_out, full};
+  run_pass(&scan_in, seq, group, kernel, cancel, o);
+  return o.mismatch & full;
 }
 
 }  // namespace scanc::fault

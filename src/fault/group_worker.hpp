@@ -1,21 +1,45 @@
 // Worker-local parallel-fault simulation engine.
 //
 // A GroupWorker owns everything one pass over a group of <= 63 collapsed
-// fault classes mutates — the PackedSeqSim, the InjectionMap, and the
-// scan-mask scratch — and borrows only const circuit/fault data.  Any
-// number of workers can therefore simulate disjoint fault groups
-// concurrently over the same circuit; the execution layer
-// (fault/group_exec.hpp) hands each executing thread its own worker.
+// fault classes mutates — the PackedSeqSim, the InjectionMap, the cone
+// kernel and the scan-mask scratch — and borrows only const
+// circuit/fault data.  Any number of workers can therefore simulate
+// disjoint fault groups concurrently over the same circuit; the
+// execution layer (fault/group_exec.hpp) hands each executing thread its
+// own worker.
 //
-// The per-group primitives map one-to-one onto the FaultSimulator
-// queries built on top of them:
+// The per-group passes map one-to-one onto the FaultSimulator queries
+// built on top of them:
 //   run_detect      -> detect_no_scan / detect_scan_test / detects_all
 //   run_times       -> detection_times
 //   run_prefix      -> prefix_detection
 //   run_consistency -> consistent_faults
-// Each primitive is a pure function of (const inputs, group): it fully
+// Each pass is a pure function of (const inputs, group): it fully
 // re-initialises the owned state, so results never depend on what the
 // worker ran before.
+//
+// All four passes run one frame loop (frame_loop in group_worker.cpp),
+// chosen once per pass from three policies:
+//   engine      full (PackedSeqSim over every gate) or cone (ConeSim
+//               over the group's fanout cone, out-of-cone values seeded
+//               from the fault-free trace) — KernelChoice::cone;
+//   activation  persistent (stuck-at: every fault injected in every
+//               frame, state carried across frames) or launch-gated
+//               (FaultModel::frame_gated(), below);
+//   observer    what the pass records: detection mask, detection times,
+//               prefix coverage or response mismatches.
+// Every pairing gives bit-identical results; the engine only decides how
+// much of the circuit a frame evaluates.
+//
+// Launch gating (transition-delay faults): fault j is *active* in frame
+// t >= 1 iff the fault-free value of its stem was the stale value in
+// frame t-1 and the opposite binary value in frame t.  Frames with no
+// active fault are skipped whole (Counter::TdfFramesSkipped).  An active
+// frame is simulated from the fault-free state entering it, with the
+// active stems stuck at their stale values; effects never persist across
+// frames, and scan-out observes a fault only when the test's final frame
+// is active.  The fault-free trace is the activation oracle, so gated
+// passes need KernelChoice::trace whatever the engine.
 #pragma once
 
 #include <atomic>
@@ -118,9 +142,10 @@ class GroupWorker {
 
   /// Response-comparison pass for diagnosis: returns the mask of group
   /// faults whose predicted response *mismatches* the observation
-  /// (binary-vs-binary differences only).  A raised `cancel` aborts at
-  /// the next frame boundary; the partial mask under-reports mismatches,
-  /// which callers must treat as "conservatively consistent".
+  /// (binary-vs-binary differences only; bits outside the group slots
+  /// are clear).  A raised `cancel` aborts at the next frame boundary;
+  /// the partial mask under-reports mismatches, which callers must treat
+  /// as "conservatively consistent".
   std::uint64_t run_consistency(const sim::Vector3& scan_in,
                                 const sim::Sequence& seq,
                                 std::span<const sim::Vector3> observed_pos,
@@ -156,56 +181,27 @@ class GroupWorker {
   }
 
  private:
-  /// Resets the engine and loads the (masked) scan-in state, if any.
-  void start_test(const sim::Vector3* scan_in,
-                  std::span<const FaultClassId> group);
+  struct FullEngine;
+  struct ConeEngine;
+
+  /// Sets up `group`'s injections and kernel, then runs `observer`
+  /// through the frame loop on the chosen engine and activation.
+  template <class Observer>
+  void run_pass(const sim::Vector3* scan_in, const sim::Sequence& seq,
+                std::span<const FaultClassId> group,
+                const KernelChoice& kernel, const util::CancelToken* cancel,
+                Observer& observer);
+
+  /// The one frame loop every pass runs (see the header comment).
+  template <bool kGated, class Engine, class Observer>
+  void frame_loop(Engine& engine, Observer& observer,
+                  const sim::Sequence& seq, const sim::NodeTrace* trace,
+                  const util::CancelToken* cancel);
 
   /// Applies the kernel decision for `group`: when the cone is taken,
   /// plan_ holds the group's cone on return.  Counts the pass.
   [[nodiscard]] bool cone_selected(std::span<const FaultClassId> group,
                                    const KernelChoice& kernel);
-
-  // Cone-kernel counterparts of the public passes (same contracts).
-  std::uint64_t run_detect_cone(const sim::NodeTrace& trace,
-                                const sim::Sequence& seq,
-                                std::span<const FaultClassId> group,
-                                bool observe_scan_out, bool early_exit,
-                                const std::atomic<bool>* keep_going,
-                                const util::CancelToken* cancel);
-  void run_times_cone(const sim::NodeTrace& trace, const sim::Sequence& seq,
-                      std::span<const FaultClassId> group,
-                      std::span<std::int64_t> first_po,
-                      std::span<util::Bitset> state_diff,
-                      const util::CancelToken* cancel);
-  std::uint64_t run_prefix_cone(const sim::NodeTrace& trace,
-                                const sim::Sequence& seq,
-                                std::span<const FaultClassId> group,
-                                std::span<std::int64_t> first_po,
-                                const util::CancelToken* cancel);
-  std::uint64_t run_consistency_cone(const sim::NodeTrace& trace,
-                                     const sim::Sequence& seq,
-                                     std::span<const sim::Vector3> observed_pos,
-                                     const sim::Vector3& observed_scan_out,
-                                     std::span<const FaultClassId> group,
-                                     const util::CancelToken* cancel);
-
-  /// PO / scan-out detection masks over the cone only (bit-identical to
-  /// the full-kernel masks: out-of-cone observation points are
-  /// slot-uniform and can never contribute).
-  [[nodiscard]] std::uint64_t po_detections_cone() const;
-  [[nodiscard]] std::uint64_t state_detections_cone() const;
-
-  // --- frame-gated (transition-delay) pass counterparts ---------------
-  //
-  // Under a frame-gated model (FaultModel::frame_gated()) every pass
-  // needs the fault-free trace regardless of kernel: a fault is injected
-  // only in frames whose fault-free site value launches the delayed
-  // transition (previous frame at the stale value, current frame at the
-  // opposite value, both binary).  An active frame is simulated
-  // one-frame from the fault-free state entering it — effects never
-  // persist across frames — and frames with no active fault are skipped
-  // whole (activation-aware skipping, Counter::TdfFramesSkipped).
-  // Scan-out can only observe a fault whose *final* frame is active.
 
   /// Caches the group's (node, stale value) sites for activation checks.
   void build_tdf_sites(std::span<const FaultClassId> group);
@@ -219,49 +215,6 @@ class GroupWorker {
   /// Rebuilds injections_ with only the slots in `act` (stuck at the
   /// stale value for one frame).
   void build_tdf_injections(std::uint64_t act);
-
-  std::uint64_t run_detect_tdf(const sim::NodeTrace& trace,
-                               const sim::Sequence& seq,
-                               std::span<const FaultClassId> group,
-                               bool observe_scan_out, bool early_exit,
-                               const std::atomic<bool>* keep_going,
-                               const util::CancelToken* cancel);
-  std::uint64_t run_detect_tdf_cone(const sim::NodeTrace& trace,
-                                    const sim::Sequence& seq,
-                                    std::span<const FaultClassId> group,
-                                    bool observe_scan_out, bool early_exit,
-                                    const std::atomic<bool>* keep_going,
-                                    const util::CancelToken* cancel);
-  void run_times_tdf(const sim::NodeTrace& trace, const sim::Sequence& seq,
-                     std::span<std::int64_t> first_po,
-                     std::span<util::Bitset> state_diff,
-                     const util::CancelToken* cancel);
-  void run_times_tdf_cone(const sim::NodeTrace& trace,
-                          const sim::Sequence& seq,
-                          std::span<std::int64_t> first_po,
-                          std::span<util::Bitset> state_diff,
-                          const util::CancelToken* cancel);
-  std::uint64_t run_prefix_tdf(const sim::NodeTrace& trace,
-                               const sim::Sequence& seq,
-                               std::span<const FaultClassId> group,
-                               std::span<std::int64_t> first_po,
-                               const util::CancelToken* cancel);
-  std::uint64_t run_prefix_tdf_cone(const sim::NodeTrace& trace,
-                                    const sim::Sequence& seq,
-                                    std::span<const FaultClassId> group,
-                                    std::span<std::int64_t> first_po,
-                                    const util::CancelToken* cancel);
-  std::uint64_t run_consistency_tdf(const sim::NodeTrace& trace,
-                                    const sim::Sequence& seq,
-                                    std::span<const sim::Vector3> observed_pos,
-                                    const sim::Vector3& observed_scan_out,
-                                    std::span<const FaultClassId> group,
-                                    const util::CancelToken* cancel);
-  std::uint64_t run_consistency_tdf_cone(
-      const sim::NodeTrace& trace, const sim::Sequence& seq,
-      std::span<const sim::Vector3> observed_pos,
-      const sim::Vector3& observed_scan_out,
-      std::span<const FaultClassId> group, const util::CancelToken* cancel);
 
   /// One activation site: a stem plus the stale value the delayed
   /// transition leaves behind.

@@ -14,7 +14,6 @@
 // The key structural consequence, and the reason the paper's long
 // functional sequences matter: a scan test whose sequence has length one
 // has no launch cycle and can detect *no* transition fault functionally.
-// bench/transition_coverage quantifies this against the [4] baseline.
 //
 // Faults are modeled at stems (one STR + one STF per signal), the
 // standard transition-fault universe.

@@ -1,6 +1,6 @@
 // scanc-serve — the compaction service daemon (docs/service.md).
 //
-//   scanc-serve --socket=PATH [--state-dir=DIR] [--executors=N]
+//   scanc-serve --socket=PATH [--state-dir=DIR] [--executors=N (1-256)]
 //               [--max-queue=N] [--max-retries=N] [--stall-seconds=S]
 //               [--deadline-check-seconds=S] [--metrics-out=PATH]
 //               [--trace-out=PATH] [--event-log=PATH]
@@ -15,11 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "svc/daemon.hpp"
 #include "util/cancel.hpp"
 #include "util/event_bus.hpp"
+#include "util/parse.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_writer.hpp"
 
@@ -35,11 +38,12 @@ struct Options {
   bool quiet = false;
 };
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
+using scanc::util::parse_seconds;
+using scanc::util::parse_uint;
+
+/// Upper bound of --executors: each executor is a thread running whole
+/// jobs, so a typo must not be able to ask for thousands of them.
+constexpr std::uint64_t kMaxExecutors = 256;
 
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
@@ -47,37 +51,37 @@ bool parse_args(int argc, char** argv, Options& opt) {
     const auto value = [&](const char* prefix) -> const char* {
       return a.c_str() + std::strlen(prefix);
     };
-    std::uint64_t v = 0;
     if (a.rfind("--socket=", 0) == 0) {
       opt.daemon.socket_path = value("--socket=");
     } else if (a.rfind("--state-dir=", 0) == 0) {
       opt.daemon.state_dir = value("--state-dir=");
-    } else if (a.rfind("--executors=", 0) == 0 &&
-               parse_u64(value("--executors="), v)) {
-      opt.daemon.executors = static_cast<std::size_t>(v);
-    } else if (a.rfind("--max-queue=", 0) == 0 &&
-               parse_u64(value("--max-queue="), v)) {
-      opt.daemon.max_queue = static_cast<std::size_t>(v);
-    } else if (a.rfind("--max-retries=", 0) == 0 &&
-               parse_u64(value("--max-retries="), v)) {
-      opt.daemon.max_retries = static_cast<int>(v);
+    } else if (a.rfind("--executors=", 0) == 0) {
+      opt.daemon.executors =
+          parse_uint("--executors", value("--executors="), 1, kMaxExecutors);
+    } else if (a.rfind("--max-queue=", 0) == 0) {
+      opt.daemon.max_queue = parse_uint("--max-queue", value("--max-queue="));
+    } else if (a.rfind("--max-retries=", 0) == 0) {
+      opt.daemon.max_retries = static_cast<int>(
+          parse_uint("--max-retries", value("--max-retries="), 0,
+                     std::numeric_limits<int>::max()));
     } else if (a.rfind("--stall-seconds=", 0) == 0) {
       opt.daemon.stall_seconds =
-          std::strtod(value("--stall-seconds="), nullptr);
+          parse_seconds("--stall-seconds", value("--stall-seconds="));
     } else if (a.rfind("--deadline-check-seconds=", 0) == 0) {
-      opt.daemon.watchdog_interval_seconds =
-          std::strtod(value("--deadline-check-seconds="), nullptr);
+      opt.daemon.watchdog_interval_seconds = parse_seconds(
+          "--deadline-check-seconds", value("--deadline-check-seconds="));
     } else if (a.rfind("--metrics-out=", 0) == 0) {
       opt.metrics_out = value("--metrics-out=");
     } else if (a.rfind("--trace-out=", 0) == 0) {
       opt.trace_out = value("--trace-out=");
     } else if (a.rfind("--event-log=", 0) == 0) {
       opt.event_log = value("--event-log=");
-    } else if (a.rfind("--event-log-max-bytes=", 0) == 0 &&
-               parse_u64(value("--event-log-max-bytes="), v)) {
-      opt.event_log_max_bytes = v;
+    } else if (a.rfind("--event-log-max-bytes=", 0) == 0) {
+      opt.event_log_max_bytes =
+          parse_uint("--event-log-max-bytes", value("--event-log-max-bytes="));
     } else if (a.rfind("--heartbeat=", 0) == 0) {
-      opt.heartbeat = std::strtod(value("--heartbeat="), nullptr);
+      opt.heartbeat = parse_seconds("--heartbeat", value("--heartbeat="),
+                                    /*allow_zero=*/true);
     } else if (a == "--quiet") {
       opt.quiet = true;
     } else {
@@ -96,7 +100,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  try {
+    if (!parse_args(argc, argv, opt)) return 2;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "scanc-serve: " << e.what() << "\n";
+    return 2;
+  }
 
   if (!opt.daemon.state_dir.empty()) {
     std::error_code ec;

@@ -254,6 +254,32 @@ TEST(CombTestSet, CoversS27Completely) {
   }
 }
 
+// generate_comb_test_set under the Auto backend leaves no fault
+// unresolved on a circuit PODEM aborts on: with a backtrack limit of one
+// PODEM gives up on some classes (redundant ones need an exhausted
+// search), and Auto's SAT fallback turns each into a test or a proof.
+TEST(CombTestSet, AutoBackendResolvesEveryPodemAbort) {
+  gen::GenParams p;
+  p.name = "aborts";
+  p.seed = 99;
+  p.num_inputs = 6;
+  p.num_outputs = 4;
+  p.num_flip_flops = 8;
+  p.num_gates = 120;
+  const Circuit c = gen::generate_circuit(p);
+  const FaultList fl = FaultList::build(c);
+  CombTestSetOptions opt;
+  opt.podem.backtrack_limit = 1;
+  const CombTestSet structural = generate_comb_test_set(c, fl, opt);
+  ASSERT_GT(structural.aborted, 0u);  // the gap --atpg=auto closes
+  opt.backend = AtpgBackend::Auto;
+  const CombTestSet resolved = generate_comb_test_set(c, fl, opt);
+  EXPECT_EQ(resolved.aborted, 0u);
+  EXPECT_EQ(resolved.detected.count() + resolved.proven_untestable,
+            fl.num_classes());
+  EXPECT_EQ(resolved.untestable.count(), resolved.proven_untestable);
+}
+
 TEST(CombTestSet, ReverseCompactionPreservesCoverage) {
   gen::GenParams p;
   p.name = "rc";

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <utility>
 
 #include "expt/options.hpp"
 #include "expt/runner.hpp"
@@ -135,6 +137,57 @@ TEST(Options, RejectsUnknownFlagAndCircuit) {
   const char* bad_circuit[] = {"bin", "--circuits=nosuch"};
   EXPECT_THROW((void)parse_bench_args(2, bad_circuit),
                std::invalid_argument);
+}
+
+TEST(Options, KeepsDocumentedNumericMeanings) {
+  const char* argv[] = {"bin", "--threads=0", "--chains=0"};
+  const BenchConfig cfg = parse_bench_args(3, argv);
+  EXPECT_EQ(cfg.runner.num_threads, 0u);  // all hardware threads
+  EXPECT_EQ(cfg.runner.num_chains, 0u);   // one chain, like --chains=1
+  const char* most[] = {"bin", "--threads=256", "--chains=1024"};
+  EXPECT_EQ(parse_bench_args(3, most).runner.num_threads, 256u);
+}
+
+TEST(Options, RejectsBadNumericFlags) {
+  for (const char* bad :
+       {"--threads=abc", "--threads=", "--threads=-1", "--threads=257",
+        "--threads=99999999999999999999", "--seed=7x", "--seed=", "--seed=-7",
+        "--seed= 7", "--chains=two", "--chains=1025", "--heartbeat=0",
+        "--heartbeat=fast"}) {
+    const char* argv[] = {"bin", bad};
+    EXPECT_THROW((void)parse_bench_args(2, argv), std::invalid_argument)
+        << bad;
+  }
+}
+
+/// Sets an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+TEST(Options, RejectsBadNumericEnvironment) {
+  const char* argv[] = {"bin"};
+  const std::pair<const char*, const char*> cases[] = {
+      {"SCANC_THREADS", "abc"}, {"SCANC_THREADS", "-1"},
+      {"SCANC_SEED", "7x"},     {"SCANC_SEED", ""},
+      {"SCANC_CHAINS", "1e3"},  {"SCANC_TIME_BUDGET", "soon"},
+      {"SCANC_HEARTBEAT", "-1"}};
+  for (const auto& [name, value] : cases) {
+    const ScopedEnv env(name, value);
+    EXPECT_THROW((void)parse_bench_args(1, argv), std::invalid_argument)
+        << name << "=" << value;
+  }
+  const ScopedEnv env("SCANC_SEED", "42");
+  EXPECT_EQ(parse_bench_args(1, argv).runner.seed, 42u);
 }
 
 TEST(Tables, AllPrintersProduceRows) {

@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/group_worker.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/embedded.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/node_trace.hpp"
 #include "test_util.hpp"
+#include "util/bitset.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc::fault {
 namespace {
@@ -397,6 +403,263 @@ TEST_P(CollapseSoundness, ClassMembersIndistinguishable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CollapseSoundness,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// ---------------------------------------------------------------------
+// GroupWorker golden work: every pass under every (scan mask, fault
+// model, kernel) combination, on one generated circuit.  Each row pins
+// a digest of the pass results over every group and the kernel
+// counters the passes added, so any change to what a pass returns or to
+// how many frames it simulates, skips or activates shows up here.
+
+namespace golden {
+
+struct Row {
+  std::string name;  // "<scan>/<model>/<kernel>/<pass>"
+  std::uint64_t digest;
+  std::uint64_t frames_simulated;
+  std::uint64_t frames_skipped;
+  std::uint64_t tdf_activations;
+  std::uint64_t tdf_frames_skipped;
+  std::uint64_t full_passes;
+  std::uint64_t cone_passes;
+};
+
+struct Digest {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+// Observed responses for the consistency pass: the fault-free response
+// with every seventh PO value unknown and the first scan-out position
+// flipped, so detected faults mismatch during the test and every
+// machine mismatches at scan-out.
+void make_observation(const Circuit& c, const sim::NodeTrace& trace,
+                      std::vector<Vector3>& pos, Vector3& scan_out) {
+  const auto po_ids = c.primary_outputs();
+  pos.clear();
+  std::size_t k = 0;
+  for (std::size_t t = 0; t < trace.length(); ++t) {
+    Vector3 v(po_ids.size(), sim::V3::X);
+    for (std::size_t i = 0; i < po_ids.size(); ++i, ++k) {
+      if (k % 7 != 3) v[i] = trace.value(t, po_ids[i]);
+    }
+    pos.push_back(std::move(v));
+  }
+  scan_out = trace.state_at_start(trace.length());
+  if (sim::is_binary(scan_out[0])) {
+    scan_out[0] = scan_out[0] == sim::V3::One ? sim::V3::Zero : sim::V3::One;
+  }
+}
+
+std::vector<Row> run_all() {
+  const Circuit c = gen::tiled_circuit(2);
+  util::Rng rng(2024);
+  const Vector3 scan_in = sim::random_vector(c.num_flip_flops(), rng);
+  // Inputs held for three frames at a time: quiet stretches let the
+  // cone kernel skip frames.
+  Sequence seq;
+  for (std::size_t t = 0; t < 24; ++t) {
+    seq.frames.push_back(t % 3 == 0 ? sim::random_vector(c.num_inputs(), rng)
+                                    : seq.frames.back());
+  }
+  util::Bitset partial(c.num_flip_flops(), true);
+  for (std::size_t i = 0; i < partial.size(); i += 3) partial.reset(i);
+
+  std::vector<Row> rows;
+  for (const bool full_scan : {true, false}) {
+    const util::Bitset mask =
+        full_scan ? util::Bitset(c.num_flip_flops(), true) : partial;
+    Vector3 masked = scan_in;
+    for (std::size_t i = 0; i < masked.size(); ++i) {
+      if (!mask.test(i)) masked[i] = sim::V3::X;
+    }
+    sim::NodeTrace trace(c, &masked);
+    trace.extend(seq.frames);
+    sim::NodeTrace no_scan_trace(c, nullptr);
+    no_scan_trace.extend(seq.frames);
+    std::vector<Vector3> obs_pos;
+    Vector3 obs_scan_out;
+    make_observation(c, trace, obs_pos, obs_scan_out);
+
+    for (const FaultModel* model :
+         {&FaultModel::stuck_at(), &FaultModel::transition()}) {
+      const FaultList faults = FaultList::build(c, *model);
+      // Group sizes cycle through 63, 1, 7 and 2: small groups are the
+      // ones whose cones go quiet.
+      std::vector<std::vector<FaultClassId>> groups;
+      const std::size_t sizes[] = {63, 1, 7, 2};
+      for (FaultClassId id = 0; id < faults.num_classes(); ++id) {
+        if (groups.empty() ||
+            groups.back().size() == sizes[(groups.size() - 1) % 4]) {
+          groups.emplace_back();
+        }
+        groups.back().push_back(id);
+      }
+      for (const bool cone : {false, true}) {
+        GroupWorker w(c, faults, mask);
+        const KernelChoice kc{&trace, cone};
+        const KernelChoice no_scan_kc{&no_scan_trace, cone};
+        for (const char* pass : {"detect", "times", "prefix", "consistency"}) {
+          const std::string p = pass;
+          Digest d;
+          const obs::CounterSnapshot before = obs::snapshot_counters();
+          for (const auto& g : groups) {
+            const std::uint64_t slots = group_slot_mask(g.size());
+            std::vector<std::int64_t> first_po(g.size(), -1);
+            if (p == "detect") {
+              d.add(w.run_detect(&scan_in, seq, g, true, false, nullptr,
+                                 nullptr, kc));
+              d.add(w.run_detect(&scan_in, seq, g, true, true, nullptr,
+                                 nullptr, kc));
+              d.add(w.run_detect(nullptr, seq, g, false, true, nullptr,
+                                 nullptr, no_scan_kc));
+            } else if (p == "times") {
+              std::vector<util::Bitset> state_diff(g.size(),
+                                                   util::Bitset(seq.length()));
+              w.run_times(scan_in, seq, g, first_po, state_diff, nullptr, kc);
+              for (std::size_t j = 0; j < g.size(); ++j) {
+                d.add(static_cast<std::uint64_t>(first_po[j]));
+                for (std::size_t t = 0; t < seq.length(); ++t) {
+                  if (state_diff[j].test(t)) d.add(t);
+                }
+                d.add(~0ULL);
+              }
+            } else if (p == "prefix") {
+              d.add(w.run_prefix(scan_in, seq, g, first_po, nullptr, kc));
+              for (const std::int64_t f : first_po) {
+                d.add(static_cast<std::uint64_t>(f));
+              }
+            } else {
+              d.add(w.run_consistency(scan_in, seq, obs_pos, obs_scan_out, g,
+                                      nullptr, kc) &
+                    slots);
+            }
+          }
+          const obs::CounterSnapshot delta =
+              obs::counter_delta(obs::snapshot_counters(), before);
+          const auto at = [&delta](obs::Counter x) {
+            return delta[static_cast<std::size_t>(x)];
+          };
+          rows.push_back(Row{std::string(full_scan ? "full" : "partial") +
+                                 "/" + (model->frame_gated() ? "tdf" : "sa") +
+                                 "/" + (cone ? "cone" : "full") + "/" + p,
+                             d.h,
+                             at(obs::Counter::FramesSimulated),
+                             at(obs::Counter::FramesSkipped),
+                             at(obs::Counter::TdfActivations),
+                             at(obs::Counter::TdfFramesSkipped),
+                             at(obs::Counter::FullPasses),
+                             at(obs::Counter::ConePasses)});
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+}  // namespace golden
+
+TEST(GroupWorkerGolden, EveryPassMatchesReferenceWork) {
+  const golden::Row expected[] = {
+      {"full/sa/full/detect", 337494412111756093ULL,
+       13845, 0, 0, 0, 645, 0},
+      {"full/sa/full/times", 5358195476393144316ULL,
+       5160, 0, 0, 0, 215, 0},
+      {"full/sa/full/prefix", 480446917816867930ULL,
+       4259, 0, 0, 0, 215, 0},
+      {"full/sa/full/consistency", 3126162984987563549ULL,
+       4284, 0, 0, 0, 215, 0},
+      {"full/sa/cone/detect", 337494412111756093ULL,
+       11542, 2303, 0, 0, 0, 645},
+      {"full/sa/cone/times", 5358195476393144316ULL,
+       4232, 928, 0, 0, 0, 215},
+      {"full/sa/cone/prefix", 480446917816867930ULL,
+       3571, 688, 0, 0, 0, 215},
+      {"full/sa/cone/consistency", 3126162984987563549ULL,
+       3590, 694, 0, 0, 0, 215},
+      {"full/tdf/full/detect", 17151011716677580691ULL,
+       3227, 0, 12661, 5009, 363, 0},
+      {"full/tdf/full/times", 2720046848179937765ULL,
+       1173, 0, 4600, 1731, 121, 0},
+      {"full/tdf/full/prefix", 2293990727201517979ULL,
+       1079, 0, 4252, 1551, 121, 0},
+      {"full/tdf/full/consistency", 12440968289629962426ULL,
+       1094, 0, 4318, 1575, 121, 0},
+      {"full/tdf/cone/detect", 17151011716677580691ULL,
+       3227, 0, 12661, 5009, 0, 363},
+      {"full/tdf/cone/times", 2720046848179937765ULL,
+       1173, 0, 4600, 1731, 0, 121},
+      {"full/tdf/cone/prefix", 2293990727201517979ULL,
+       1079, 0, 4252, 1551, 0, 121},
+      {"full/tdf/cone/consistency", 12440968289629962426ULL,
+       1094, 0, 4318, 1575, 0, 121},
+      {"partial/sa/full/detect", 6414643933253609257ULL,
+       14011, 0, 0, 0, 645, 0},
+      {"partial/sa/full/times", 2964136977368007780ULL,
+       5160, 0, 0, 0, 215, 0},
+      {"partial/sa/full/prefix", 9169315587871855275ULL,
+       4425, 0, 0, 0, 215, 0},
+      {"partial/sa/full/consistency", 15833453266091544059ULL,
+       4450, 0, 0, 0, 215, 0},
+      {"partial/sa/cone/detect", 6414643933253609257ULL,
+       11726, 2285, 0, 0, 0, 645},
+      {"partial/sa/cone/times", 2964136977368007780ULL,
+       4262, 898, 0, 0, 0, 215},
+      {"partial/sa/cone/prefix", 9169315587871855275ULL,
+       3725, 700, 0, 0, 0, 215},
+      {"partial/sa/cone/consistency", 15833453266091544059ULL,
+       3745, 705, 0, 0, 0, 215},
+      {"partial/tdf/full/detect", 3882663656569675683ULL,
+       3089, 0, 11911, 5219, 363, 0},
+      {"partial/tdf/full/times", 5805993721895101653ULL,
+       1093, 0, 4195, 1811, 121, 0},
+      {"partial/tdf/full/prefix", 17757536764832312851ULL,
+       1021, 0, 3907, 1681, 121, 0},
+      {"partial/tdf/full/consistency", 18395021426437981364ULL,
+       1031, 0, 3942, 1688, 121, 0},
+      {"partial/tdf/cone/detect", 3882663656569675683ULL,
+       3089, 0, 11911, 5219, 0, 363},
+      {"partial/tdf/cone/times", 5805993721895101653ULL,
+       1093, 0, 4195, 1811, 0, 121},
+      {"partial/tdf/cone/prefix", 17757536764832312851ULL,
+       1021, 0, 3907, 1681, 0, 121},
+      {"partial/tdf/cone/consistency", 18395021426437981364ULL,
+       1031, 0, 3942, 1688, 0, 121},
+  };
+  const std::vector<golden::Row> got = golden::run_all();
+  ASSERT_EQ(got.size(), std::size(expected)) << [&] {
+    std::string s;
+    for (const golden::Row& r : got) {
+      s += "      {\"" + r.name + "\", " +
+           std::to_string(r.digest) + "ULL, " +
+           std::to_string(r.frames_simulated) + ", " +
+           std::to_string(r.frames_skipped) + ", " +
+           std::to_string(r.tdf_activations) + ", " +
+           std::to_string(r.tdf_frames_skipped) + ", " +
+           std::to_string(r.full_passes) + ", " +
+           std::to_string(r.cone_passes) + "},\n";
+    }
+    return s;
+  }();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const golden::Row& e = expected[i];
+    const golden::Row& g = got[i];
+    SCOPED_TRACE(g.name);
+    EXPECT_EQ(g.name, e.name);
+    EXPECT_EQ(g.digest, e.digest);
+    EXPECT_EQ(g.frames_simulated, e.frames_simulated);
+    EXPECT_EQ(g.frames_skipped, e.frames_skipped);
+    EXPECT_EQ(g.tdf_activations, e.tdf_activations);
+    EXPECT_EQ(g.tdf_frames_skipped, e.tdf_frames_skipped);
+    EXPECT_EQ(g.full_passes, e.full_passes);
+    EXPECT_EQ(g.cone_passes, e.cone_passes);
+  }
+}
 
 }  // namespace
 }  // namespace scanc::fault

@@ -1,16 +1,71 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/bitset.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scanc::util {
 namespace {
+
+TEST(ParseUint, AcceptsPlainDigitsInRange) {
+  EXPECT_EQ(parse_uint("--n", "0"), 0u);
+  EXPECT_EQ(parse_uint("--n", "007"), 7u);
+  EXPECT_EQ(parse_uint("--n", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_uint("--n", "256", 1, 256), 256u);
+  EXPECT_EQ(parse_uint("--n", "1", 1, 256), 1u);
+}
+
+TEST(ParseUint, RejectsHostileStrings) {
+  for (const char* bad :
+       {"", "abc", "7x", "x7", "-1", "+1", " 1", "1 ", "1.5", "1e3", "0x10",
+        "18446744073709551616", "99999999999999999999999", "\t", "1\n"}) {
+    EXPECT_THROW((void)parse_uint("--n", bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW((void)parse_uint("--n", "0", 1, 256), std::invalid_argument);
+  EXPECT_THROW((void)parse_uint("--n", "257", 1, 256), std::invalid_argument);
+}
+
+TEST(ParseUint, ErrorNamesTheFlagAndValue) {
+  try {
+    (void)parse_uint("--executors", "-1", 1, 256);
+    FAIL() << "accepted -1";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--executors"), std::string::npos) << what;
+    EXPECT_NE(what.find("-1"), std::string::npos) << what;
+  }
+}
+
+TEST(ParseSeconds, AcceptsPositiveDecimals) {
+  EXPECT_DOUBLE_EQ(parse_seconds("--t", "3600"), 3600.0);
+  EXPECT_DOUBLE_EQ(parse_seconds("--t", "0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(parse_seconds("--t", ".5"), 0.5);
+  EXPECT_DOUBLE_EQ(parse_seconds("--t", "1e2"), 100.0);
+  EXPECT_DOUBLE_EQ(parse_seconds("--t", "0", /*allow_zero=*/true), 0.0);
+}
+
+TEST(ParseSeconds, RejectsHostileStrings) {
+  for (const char* bad : {"", "soon", "5s", "-5", "+5", " 5", "5 ", "inf",
+                          "nan", "1e999", "0x", "."}) {
+    EXPECT_THROW((void)parse_seconds("--t", bad), std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)parse_seconds("--t", bad, /*allow_zero=*/true),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW((void)parse_seconds("--t", "0"), std::invalid_argument);
+  EXPECT_THROW((void)parse_seconds("--t", "0.0"), std::invalid_argument);
+}
 
 class BitsetSizes : public ::testing::TestWithParam<std::size_t> {};
 
